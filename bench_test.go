@@ -284,7 +284,7 @@ func ablationPrecision(b *testing.B, mutate func(*core.Config)) float64 {
 		if err != nil {
 			continue
 		}
-		m, err := core.EvaluateExplanation(test, features.Level3, q, x, 50000, rep)
+		m, err := core.EvaluateExplanationP(test, features.Level3, q, x, 50000, rep, 0)
 		if err != nil {
 			continue
 		}

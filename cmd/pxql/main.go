@@ -18,7 +18,7 @@
 // remote runs `pxql -shard-worker -listen :9071` with a matching
 // -shard-token (or PXQL_SHARD_TOKEN). -seal N queries the log through a
 // segment store (sealed every N records), shipping per-segment hashed
-// slices to the workers. Output is byte-identical in every mode;
+// slices to the workers instead of one slice for the whole log. Output is byte-identical in every mode;
 // -verbose reports frames, bytes shipped and slice-cache counters.
 package main
 
@@ -45,7 +45,7 @@ func main() {
 	sampleBudget := flag.Int("sample-budget", 0, "stratified total pair budget (0 = the library's MaxPairs default)")
 	samplePilot := flag.Float64("sample-pilot", 0, "pilot fraction in (0, 1) for Wilson-adaptive stratified budgets (0 = one-shot proportional allocation; requires -sample-mode stratified)")
 	parallelism := flag.Int("parallelism", 0, "worker goroutines for the explanation pipeline (0 = all cores); the answer is identical at every setting")
-	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers cache sealed segments across queries")
+	seal := flag.Int("seal", 0, "ingest the log into a segment store sealing every N records and query its snapshot (0 = off); the answer is identical, but shard workers receive one slice per segment instead of one for the whole log")
 	shards := flag.Int("shards", 0, "shard the pair pipeline into N self-contained specs (0 = off); the answer is identical at every setting")
 	shardWorkers := flag.Int("shard-workers", 0, "execute shards on K worker subprocesses instead of in-process (requires -shards)")
 	shardWorker := flag.Bool("shard-worker", false, "serve shard tasks on stdin/stdout and exit (internal: spawned by -shard-workers), or on a TCP listener with -listen")
@@ -158,9 +158,9 @@ func run(o cliOpts) error {
 		return err
 	}
 	// -seal routes the flat CSV log through a segment store and queries
-	// its watermark snapshot — the shard planners then cut along segment
-	// boundaries and ship per-segment hashed slices. The explanation is
-	// byte-identical to the flat path.
+	// its watermark snapshot — the shard planners then ship one hashed
+	// slice per segment instead of one for the whole log. The
+	// explanation is byte-identical to the flat path.
 	segmented := func(l *perfxplain.Log) (*perfxplain.Log, error) {
 		st := perfxplain.NewStore(l, o.seal)
 		if err := st.Ingest(l); err != nil {

@@ -165,7 +165,16 @@ func run(o runOpts) error {
 			st.Len(), st.SealedSegments(), o.logPath)
 	}
 
-	srv := serve.NewServer(cfg)
 	fmt.Fprintf(os.Stderr, "pxqld: listening on %s\n", o.listen)
-	return http.ListenAndServe(o.listen, srv)
+	return newHTTPServer(o.listen, serve.NewServer(cfg)).ListenAndServe()
+}
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pin server
+// goroutines. Request bodies are capped by serve.MaxBodyBytes.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer is the daemon's HTTP front.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }

@@ -184,7 +184,7 @@ func TestSimButDiffErrors(t *testing.T) {
 }
 
 func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
-	// Both baselines must produce explanations EvaluateExplanation accepts.
+	// Both baselines must produce explanations EvaluateExplanationP accepts.
 	rng := rand.New(rand.NewSource(9))
 	log := testLog(60, rng)
 	d := features.NewDeriver(log.Schema, features.Level3)
@@ -198,7 +198,7 @@ func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EvaluateExplanation(log, features.Level3, q, xr, 0, 1); err != nil {
+	if _, err := core.EvaluateExplanationP(log, features.Level3, q, xr, 0, 1, 0); err != nil {
 		t.Errorf("RuleOfThumb explanation unscoreable: %v", err)
 	}
 
@@ -210,7 +210,7 @@ func TestBaselinesScoreableByCoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EvaluateExplanation(log, features.Level3, q, xs, 0, 1); err != nil {
+	if _, err := core.EvaluateExplanationP(log, features.Level3, q, xs, 0, 1, 0); err != nil {
 		t.Errorf("SimButDiff explanation unscoreable: %v", err)
 	}
 }

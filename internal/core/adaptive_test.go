@@ -178,7 +178,9 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 func TestEnumSpecRoundValidation(t *testing.T) {
 	log := zoneSkewedLog(60, 5, rand.New(rand.NewSource(71)))
 	q := zoneQuery()
-	specs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite, 100, 1, 9)
+	// Block on the script alone: the full zone despite prunes every
+	// group of this small log, and an empty pair space plans no spec.
+	specs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite[:1], 100, 1, 9)
 	if len(specs) != 1 {
 		t.Fatalf("planned %d specs", len(specs))
 	}

@@ -269,7 +269,7 @@ func TestEvaluateExplanationKnownPrecision(t *testing.T) {
 	x := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}},
 	}
-	m, err := EvaluateExplanation(log, features.Level3, q, x, 0, 1)
+	m, err := EvaluateExplanationP(log, features.Level3, q, x, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestEvaluateExplanationKnownPrecision(t *testing.T) {
 	anti := &Explanation{
 		Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("LT")}},
 	}
-	m, err = EvaluateExplanation(log, features.Level3, q, anti, 0, 1)
+	m, err = EvaluateExplanationP(log, features.Level3, q, anti, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +302,10 @@ func TestEvaluateExplanationErrors(t *testing.T) {
 	d := features.NewDeriver(log.Schema, features.Level3)
 	q := gtQuery(log, d)
 	x := &Explanation{Because: pxql.Predicate{{Feature: "nope", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
-	if _, err := EvaluateExplanation(log, features.Level3, q, x, 0, 1); err == nil {
+	if _, err := EvaluateExplanationP(log, features.Level3, q, x, 0, 1, 0); err == nil {
 		t.Error("unknown feature should error")
 	}
-	if _, err := EvaluateExplanation(joblog.NewLog(log.Schema), features.Level3, q, &Explanation{}, 0, 1); err == nil {
+	if _, err := EvaluateExplanationP(joblog.NewLog(log.Schema), features.Level3, q, &Explanation{}, 0, 1, 0); err == nil {
 		t.Error("empty log should error")
 	}
 }
@@ -377,11 +377,11 @@ func TestGeneratedDespiteImprovesRelevance(t *testing.T) {
 	if len(des) == 0 {
 		t.Fatal("no despite generated")
 	}
-	before, err := EvaluateExplanation(log, features.Level3, q, &Explanation{}, 0, 1)
+	before, err := EvaluateExplanationP(log, features.Level3, q, &Explanation{}, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := EvaluateExplanation(log, features.Level3, q, &Explanation{Despite: des}, 0, 1)
+	after, err := EvaluateExplanationP(log, features.Level3, q, &Explanation{Despite: des}, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

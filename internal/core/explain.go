@@ -95,16 +95,10 @@ type Config struct {
 	Shards int
 	// Runner executes planned shard specs — in-process or on worker
 	// subprocesses (see internal/shard). nil selects the direct
-	// single-process path.
+	// single-process path. Specs plan over the log's segment layout
+	// (see LayoutOf): a store snapshot ships its per-segment slices, so
+	// sealed segments stay warm in worker caches across appends.
 	Runner ShardRunner
-	// Layout describes the log's segment decomposition when it is a
-	// segment-store snapshot (joblog.Store): runner-backed planners then
-	// ship per-segment content-addressed slices instead of cutting and
-	// hashing ad-hoc record subsets, so sealed segments stay warm in
-	// worker caches across appends. It must cover exactly the log's
-	// records. nil — or a nil Runner — plans against the log directly;
-	// results are byte-identical either way.
-	Layout *SegmentLayout
 }
 
 // DefaultConfig returns the paper's settings.
@@ -194,10 +188,6 @@ func NewExplainer(log *joblog.Log, cfg Config) (*Explainer, error) {
 	}
 	if _, ok := log.Schema.Index(cfg.Target); !ok {
 		return nil, fmt.Errorf("core: log has no target feature %q", cfg.Target)
-	}
-	if cfg.Layout != nil && cfg.Layout.Total() != log.Len() {
-		return nil, fmt.Errorf("core: segment layout covers %d records, log has %d",
-			cfg.Layout.Total(), log.Len())
 	}
 	// The deriver always exposes the full Table 1 feature set: queries may
 	// mention any derived feature regardless of the configured level. The

@@ -31,41 +31,86 @@ type Metrics struct {
 	BecausePairs int
 }
 
-// EvaluateExplanation measures an explanation against a log with all
-// available cores. The query supplies des, obs and exp; the explanation
-// supplies des' and bec. The probability space is the set of ordered
-// pairs satisfying des ∧ des' (blocked and capped exactly like training
-// enumeration).
-func EvaluateExplanation(log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64) (Metrics, error) {
-	return EvaluateExplanationP(log, level, q, x, maxPairs, seed, 0)
-}
-
-// EvaluateExplanationP is EvaluateExplanation with an explicit worker
-// count (<= 0 means GOMAXPROCS). Shards accumulate integer counts that
-// are summed in shard order, so the metrics are exact and identical at
-// every parallelism level.
-//
-// Each tile of pairs is evaluated batched: the despite context fills a
-// selection bitmap, exp and bec push down over copies of it, obs pushes
-// down over the bec selection, and all four counts are popcounts — the
-// per-pair conditional nesting becomes word-wise AND composition with
-// identical totals.
+// EvaluateExplanationP measures an explanation against a log with an
+// explicit worker count (<= 0 means GOMAXPROCS) — the non-ctx wrapper
+// of EvaluateExplanationCtx on the direct walk.
 func EvaluateExplanationP(log *joblog.Log, level features.Level,
 	q *pxql.Query, x *Explanation, maxPairs int, seed int64, parallelism int) (Metrics, error) {
-	return EvaluateExplanationPCtx(context.Background(), log, level, q, x, maxPairs, seed, parallelism)
+	return EvaluateExplanationCtx(context.Background(), log, level, q, x, maxPairs, seed, parallelism, 0, nil)
 }
 
-// EvaluateExplanationPCtx is EvaluateExplanationP with a cancellation
-// context: each worker checks ctx before starting a shard of the pair
-// walk, and a cancelled evaluation returns ctx.Err() instead of partial
-// counts. A result returned without error is exact.
-func EvaluateExplanationPCtx(ctx context.Context, log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64, parallelism int) (Metrics, error) {
+// EvaluateExplanationCtx measures an explanation against a log. The
+// query supplies des, obs and exp; the explanation supplies des' and
+// bec. The probability space is the set of ordered pairs satisfying
+// des ∧ des' (blocked and capped exactly like training enumeration).
+//
+// A nil runner selects the direct walk on parallelism workers (<= 0
+// means GOMAXPROCS): each tile of pairs is evaluated batched — the
+// despite context fills a selection bitmap, exp and bec push down over
+// copies of it, obs pushes down over the bec selection, and all four
+// counts are popcounts. Otherwise the walk is planned into shards
+// (<= 0 means one per worker) over the log's segment layout and
+// executed by runner. Either way the counts are integers summed in a
+// fixed order, so the metrics are exact and identical at every
+// parallelism, shard count, transport and cache state.
+//
+// Cancellation is checked per chunk of the direct walk, and before
+// planning and before the fan-out of a sharded one; a cancelled
+// evaluation returns ctx.Err() instead of partial counts.
+func EvaluateExplanationCtx(ctx context.Context, log *joblog.Log, level features.Level,
+	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
+	parallelism, shards int, runner ShardRunner) (Metrics, error) {
 
 	if err := validateEvaluation(log, level, q, x); err != nil {
 		return Metrics{}, err
 	}
+	if runner == nil {
+		return evaluateDirect(ctx, log, level, q, x, maxPairs, seed, parallelism)
+	}
+	if err := ctx.Err(); err != nil {
+		return Metrics{}, err
+	}
+	if shards <= 0 {
+		shards = par.Resolve(parallelism)
+	}
+	specs := PlanEvalShards(log, level, q, x, maxPairs, shards, stats.DeriveSeed(seed, "evaluate"))
+	// Prefetch the log's slices to every worker before fanning out: while
+	// the first specs compute, the payloads ship in the background — and
+	// repeated evaluations over the same log (a harness scoring several
+	// widths) hit the worker caches whatever the dynamic task-to-worker
+	// assignment does.
+	if pf, ok := runner.(SlicePrefetcher); ok {
+		pf.PrefetchSlices(LayoutOf(log).Slices())
+	}
+	if err := ctx.Err(); err != nil {
+		return Metrics{}, err
+	}
+	results, err := runner.RunEval(specs)
+	if err != nil {
+		return Metrics{}, fmt.Errorf("core: shard evaluation: %w", err)
+	}
+	if len(results) != len(specs) {
+		return Metrics{}, fmt.Errorf("core: shard evaluation returned %d results for %d specs", len(results), len(specs))
+	}
+	var context, nExp, bec, obsGivenBec int
+	for si := range results {
+		r := &results[si]
+		if r.Context < 0 || r.Exp < 0 || r.Bec < 0 || r.ObsGivenBec < 0 ||
+			r.Exp > r.Context || r.Bec > r.Context || r.ObsGivenBec > r.Bec {
+			return Metrics{}, fmt.Errorf("core: shard %d returned inconsistent evaluation counts %+v", si, *r)
+		}
+		context += r.Context
+		nExp += r.Exp
+		bec += r.Bec
+		obsGivenBec += r.ObsGivenBec
+	}
+	return metricsFromCounts(context, nExp, bec, obsGivenBec)
+}
+
+// evaluateDirect is the in-process evaluation walk.
+func evaluateDirect(ctx context.Context, log *joblog.Log, level features.Level,
+	q *pxql.Query, x *Explanation, maxPairs int, seed int64, parallelism int) (Metrics, error) {
+
 	d := features.NewDeriver(log.Schema, level)
 	despite := q.Despite.And(x.Despite)
 	pairSeed := stats.DeriveSeed(seed, "evaluate")
@@ -147,104 +192,4 @@ func metricsFromCounts(context, exp, bec, obsGivenBec int) (Metrics, error) {
 		m.Precision = float64(obsGivenBec) / float64(m.BecausePairs)
 	}
 	return m, nil
-}
-
-// EvaluateExplanationSharded is EvaluateExplanationP with the quadratic
-// pair walk cut into self-contained shard specs executed by runner —
-// the distributed counterpart for evaluation logs that exceed one box.
-// Shard results are integer counts summed in spec order, so the metrics
-// are exactly those of the serial walk at every shard count, transport
-// and cache state. A nil runner falls back to the in-process walk;
-// shards <= 0 plans one spec per core.
-func EvaluateExplanationSharded(log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
-	shards int, runner ShardRunner) (Metrics, error) {
-
-	return EvaluateExplanationShardedOver(nil, log, level, q, x, maxPairs, seed, shards, runner)
-}
-
-// EvaluateExplanationShardedOver is EvaluateExplanationSharded against a
-// segment layout: eval specs then carry the layout's per-segment
-// hashed slices (shared by every spec and every repeat evaluation at
-// the same watermark) instead of per-shard record cuts. A nil layout
-// plans statically; counts and metrics are identical either way.
-func EvaluateExplanationShardedOver(layout *SegmentLayout, log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
-	shards int, runner ShardRunner) (Metrics, error) {
-	return EvaluateExplanationShardedOverCtx(context.Background(), layout, log, level, q, x, maxPairs, seed, shards, runner)
-}
-
-// EvaluateExplanationShardedOverCtx is EvaluateExplanationShardedOver
-// with a cancellation context. Cancellation is checked before planning
-// and before the shard fan-out — the runner round itself is the unit of
-// work — so a cancelled evaluation stops at the next round boundary.
-func EvaluateExplanationShardedOverCtx(ctx context.Context, layout *SegmentLayout, log *joblog.Log, level features.Level,
-	q *pxql.Query, x *Explanation, maxPairs int, seed int64,
-	shards int, runner ShardRunner) (Metrics, error) {
-
-	if runner == nil {
-		return EvaluateExplanationPCtx(ctx, log, level, q, x, maxPairs, seed, 0)
-	}
-	if err := ctx.Err(); err != nil {
-		return Metrics{}, err
-	}
-	if err := validateEvaluation(log, level, q, x); err != nil {
-		return Metrics{}, err
-	}
-	if layout != nil && layout.Total() != log.Len() {
-		return Metrics{}, fmt.Errorf("core: segment layout covers %d records, evaluation log has %d",
-			layout.Total(), log.Len())
-	}
-	if shards <= 0 {
-		shards = par.Resolve(0)
-	}
-	specs := PlanEvalShardsOver(layout, log, level, q, x, maxPairs, shards, stats.DeriveSeed(seed, "evaluate"))
-	// Prefetch the distinct evaluation slices to every worker before
-	// fanning out: while the first specs compute, the rest of the
-	// payloads ship in the background — and repeated evaluations over
-	// the same log (a harness scoring several widths) hit the worker
-	// caches whatever the dynamic task-to-worker assignment does.
-	if pf, ok := runner.(SlicePrefetcher); ok {
-		seen := make(map[string]bool, len(specs))
-		slices := make([]LogSlice, 0, len(specs))
-		add := func(s LogSlice) {
-			if s.Hash != "" && !seen[s.Hash] {
-				seen[s.Hash] = true
-				slices = append(slices, s)
-			}
-		}
-		for i := range specs {
-			if len(specs[i].Slices) > 0 {
-				for _, s := range specs[i].Slices {
-					add(s)
-				}
-			} else {
-				add(specs[i].Slice)
-			}
-		}
-		pf.PrefetchSlices(slices)
-	}
-	if err := ctx.Err(); err != nil {
-		return Metrics{}, err
-	}
-	results, err := runner.RunEval(specs)
-	if err != nil {
-		return Metrics{}, fmt.Errorf("core: shard evaluation: %w", err)
-	}
-	if len(results) != len(specs) {
-		return Metrics{}, fmt.Errorf("core: shard evaluation returned %d results for %d specs", len(results), len(specs))
-	}
-	var context, nExp, bec, obsGivenBec int
-	for si := range results {
-		r := &results[si]
-		if r.Context < 0 || r.Exp < 0 || r.Bec < 0 || r.ObsGivenBec < 0 ||
-			r.Exp > r.Context || r.Bec > r.Context || r.ObsGivenBec > r.Bec {
-			return Metrics{}, fmt.Errorf("core: shard %d returned inconsistent evaluation counts %+v", si, *r)
-		}
-		context += r.Context
-		nExp += r.Exp
-		bec += r.Bec
-		obsGivenBec += r.ObsGivenBec
-	}
-	return metricsFromCounts(context, nExp, bec, obsGivenBec)
 }

@@ -1,64 +1,85 @@
 package core
 
-// Segment-aware planning. A joblog.Store snapshot decomposes the log
-// into sealed immutable segments plus a mutable tail (joblog/segment.go);
-// SegmentLayout is that decomposition in shard-planner terms: one
-// content-addressed LogSlice per segment, concatenating in order to the
-// whole snapshot. The Over planner variants ship these per-segment
-// slices to every spec instead of cutting and hashing ad-hoc record
-// subsets per shard — sealed segments keep one hash forever, so worker
-// caches stay warm across appends and only the tail slice (whose hash
-// changes with every append) re-ships on a re-query.
+// Shard-planning layout. Every runner-backed enumeration and evaluation
+// plans over one SegmentLayout derived from the log: a joblog.Store
+// snapshot contributes its segment views (sealed segments keep one
+// content hash forever, so worker caches stay warm across appends and
+// only the tail slice re-ships on a re-query), and a flat log is a
+// single segment. Specs address records globally; a worker concatenates
+// the segment slices into one whole-log view and runs the same walk as
+// the coordinator, so the merged output is identical at every shard
+// count, seal threshold and transport.
 //
-// Byte-identity: a segmented spec addresses records globally (Global
-// empty means identity) and carries the same blocking groups, outer
-// ranges, budgets, seeds and predicates as its static counterpart; the
-// worker concatenates the segment slices into one whole-log view and
-// runs the identical walk, so the merged output equals the static plan
-// at every shard count — pinned by the segment equivalence suite.
+// The layout also holds the coordinator's whole-log view. Specs executed
+// in this process (Run) read it by reference — no wire encoding, hashing
+// or decoding. The wire slices are built only when a shipping runner
+// first asks for them (Wire, SlicePrefetcher), then memoized with the
+// layout, which is itself memoized per log generation.
 
 import (
 	"fmt"
+	"sync"
 
-	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
-	"perfxplain/internal/pxql"
 )
 
-// NewLogSliceHashed builds a LogSlice from a precomputed content hash —
-// the segment store hashes each sealed segment once at seal time, and
-// re-hashing it on every plan would throw that work away. hash must
-// equal joblog.HashSlice(w, intern).
-func NewLogSliceHashed(hash string, w joblog.WireLog, intern []string) LogSlice {
-	return LogSlice{Hash: hash, Log: w, Intern: intern}
-}
-
-// SegmentLayout is the shard-planner view of a segment-store snapshot:
-// its segments as content-addressed slices, in record order, covering
-// the snapshot's records exactly.
+// SegmentLayout is the shard-planner view of a log: its segments, in
+// record order, covering the log's records exactly.
 type SegmentLayout struct {
-	// Slices holds one content-addressed slice per segment (sealed
-	// segments first, then the tail), concatenating to the whole log.
-	Slices []LogSlice
-	total  int
+	whole *SliceData           // the coordinator's view, read by reference
+	views []joblog.SegmentView // nil: the flat log is one segment
+
+	once   sync.Once
+	slices []LogSlice
 }
 
-// NewSegmentLayout builds a layout from a snapshot's segment views,
-// validating that the views tile the record space contiguously from 0.
-func NewSegmentLayout(views []joblog.SegmentView) (*SegmentLayout, error) {
-	ly := &SegmentLayout{Slices: make([]LogSlice, len(views))}
-	for i, v := range views {
-		if v.Start != ly.total {
-			return nil, fmt.Errorf("core: segment %d starts at %d, want %d", i, v.Start, ly.total)
+type layoutKey struct{}
+
+// LayoutOf returns the log's shard-planning layout, memoized on its
+// columnar view — i.e. once per log generation.
+func LayoutOf(log *joblog.Log) *SegmentLayout {
+	cols := log.Columns()
+	return cols.Memo(layoutKey{}, func() any {
+		return &SegmentLayout{whole: &SliceData{Log: log, Cols: cols}, views: log.Segments()}
+	}).(*SegmentLayout)
+}
+
+// Slices returns the layout's content-addressed wire slices,
+// concatenating in order to the whole log. A snapshot's slices reuse the
+// store's precomputed wire forms and hashes; a flat log's single slice
+// is encoded and hashed on the first call.
+func (ly *SegmentLayout) Slices() []LogSlice {
+	ly.once.Do(func() {
+		if len(ly.views) == 0 {
+			w := joblog.WireSlice(ly.whole.Cols.Schema(), ly.whole.Log.Records[:ly.whole.Cols.Len()])
+			ly.slices = []LogSlice{NewLogSlice(w, nil)}
+			return
 		}
-		ly.Slices[i] = NewLogSliceHashed(v.Hash, v.Records, nil)
-		ly.total += v.Len()
-	}
-	return ly, nil
+		ly.slices = make([]LogSlice, len(ly.views))
+		for i, v := range ly.views {
+			ly.slices[i] = LogSlice{Hash: v.Hash, Log: v.Records}
+		}
+	})
+	return ly.slices
 }
 
-// Total returns the number of records the layout covers.
-func (ly *SegmentLayout) Total() int { return ly.total }
+// view returns the whole-log view a segmented spec runs against: the
+// coordinator's own by reference when the spec was planned in this
+// process, the decoded and combined slices otherwise.
+func view(ly *SegmentLayout, slices []LogSlice) (*SliceData, error) {
+	if ly != nil {
+		return ly.whole, nil
+	}
+	datas := make([]*SliceData, len(slices))
+	for i := range slices {
+		d, err := slices[i].Data()
+		if err != nil {
+			return nil, err
+		}
+		datas[i] = d
+	}
+	return CombineSlices(datas)
+}
 
 // CombineSlices concatenates decoded slices, in order, into one view —
 // the worker-side assembly of a segmented spec's whole-log form. The
@@ -89,175 +110,14 @@ func CombineSlices(datas []*SliceData) (*SliceData, error) {
 	return &SliceData{Log: log, Cols: log.Columns()}, nil
 }
 
-// DecodeSlices decodes payload slices and combines them — the
-// in-process executor path of a segmented spec (the worker runtime
-// resolves each slice through its cache first and combines the decoded
-// forms itself).
-func DecodeSlices(slices []LogSlice) (*SliceData, error) {
-	if len(slices) == 0 {
-		return nil, fmt.Errorf("core: spec has no slices")
-	}
-	datas := make([]*SliceData, len(slices))
-	for i := range slices {
-		d, err := slices[i].Data()
-		if err != nil {
-			return nil, err
-		}
-		datas[i] = d
-	}
-	return CombineSlices(datas)
-}
-
-// cutGroupShardsGlobal is cutGroupShards for segmented specs: the same
-// proportional cut of the flattened (group, outer-member) sequence —
-// identical boundaries, outer ranges and budgets — but group members
-// keep their global record indices (the combined slice view is the
-// whole log, so local == global) and no per-shard record slice is cut.
-func cutGroupShardsGlobal(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
-	units := 0
-	for _, g := range groups {
-		units += len(g)
-	}
-	cuts := make([][]EnumGroup, nShards)
-	for s := 0; s < nShards; s++ {
-		lo, hi := cutPoint(units, nShards, s), cutPoint(units, nShards, s+1)
-		off := 0
-		for gi, g := range groups {
-			gLo, gHi := lo-off, hi-off
-			off += len(g)
-			if gLo < 0 {
-				gLo = 0
-			}
-			if gHi > len(g) {
-				gHi = len(g)
-			}
-			if gLo >= gHi {
-				continue
-			}
-			eg := EnumGroup{Members: append([]int(nil), g...), Lo: gLo, Hi: gHi}
-			if budgets != nil {
-				eg.Budget = budgets[gi]
-			}
-			cuts[s] = append(cuts[s], eg)
-		}
-	}
-	return cuts
-}
-
-// PlanEnumShardsOver is PlanEnumShards against a segment layout: specs
-// carry the layout's per-segment slices (shared by every spec, cached
-// by hash worker-side) instead of per-shard record cuts. A nil layout
-// delegates to the static planner. The walk — groups, outer ranges,
-// keep decisions, iteration order — is identical either way.
-func PlanEnumShardsOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
-
-	if layout == nil {
-		return PlanEnumShards(log, level, q, despite, maxPairs, nShards, seed)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, nil, nShards) {
-		specs[s] = EnumSpec{
-			Slices:   layout.Slices,
-			Groups:   cut,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-		}
-	}
-	return specs
-}
-
-// PlanEnumShardsStratifiedOver is PlanEnumShardsStratified against a
-// segment layout (nil delegates to the static planner).
-func PlanEnumShardsStratifiedOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, budget, nShards int, seed uint64) []EnumSpec {
-
-	if layout == nil {
-		return PlanEnumShardsStratified(log, level, q, despite, budget, nShards, seed)
-	}
-	// seek=false for the same reason as the static planner: draws key on
-	// group identity.
-	groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
-	return planEnumStratifiedOver(layout, log, level, q, despite, groups, stratifyBudgets(groups, budget), nShards, seed, RoundFinal)
-}
-
-// planEnumStratifiedOver is planEnumStratified against a segment layout
-// (nil delegates) — the shared tail of the stratified planner and the
-// Wilson-adaptive rounds.
-func planEnumStratifiedOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, groups [][]int, budgets []int, nShards int, seed uint64, round int) []EnumSpec {
-
-	if layout == nil {
-		return planEnumStratified(log, level, q, despite, groups, budgets, nShards, seed, round)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, budgets, nShards) {
-		specs[s] = EnumSpec{
-			Slices:     layout.Slices,
-			Groups:     cut,
-			KeepP:      1,
-			Seed:       seed,
-			Stratified: true,
-			Round:      round,
-			Level:      level,
-			Despite:    despite.Spec(),
-			Observed:   q.Observed.Spec(),
-			Expected:   q.Expected.Spec(),
-		}
-	}
-	return specs
-}
-
-// PlanEvalShardsOver is PlanEvalShards against a segment layout (nil
-// delegates to the static planner).
-func PlanEvalShardsOver(layout *SegmentLayout, log *joblog.Log, level features.Level, q *pxql.Query,
-	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
-
-	if layout == nil {
-		return PlanEvalShards(log, level, q, x, maxPairs, nShards, seed)
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	despite := q.Despite.And(x.Despite)
-	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EvalSpec, nShards)
-	for s, cut := range cutGroupShardsGlobal(groups, nil, nShards) {
-		specs[s] = EvalSpec{
-			Slices:   layout.Slices,
-			Groups:   cut,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-			Because:  x.Because.Spec(),
-		}
-	}
-	return specs
-}
-
-// prefetchLayout starts shipping the layout's segment slices to every
+// prefetchLayout starts shipping the log's segment slices to every
 // worker — called at the head of each runner-backed planning round, so
 // sealed payloads a worker already holds are skipped and new ones
-// overlap with planning. Advisory, like every prefetch.
+// overlap with planning. Only a shipping runner implements the
+// prefetcher, so an in-process runner never builds the wire form.
+// Advisory, like every prefetch.
 func (e *Explainer) prefetchLayout() {
-	if e.cfg.Layout == nil || e.cfg.Runner == nil {
-		return
-	}
 	if pf, ok := e.cfg.Runner.(SlicePrefetcher); ok {
-		pf.PrefetchSlices(e.cfg.Layout.Slices)
+		pf.PrefetchSlices(LayoutOf(e.log).Slices())
 	}
 }

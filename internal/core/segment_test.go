@@ -1,12 +1,14 @@
 package core
 
-// Equivalence suite for segmented planning: plans cut over a segment
-// layout — per-segment hashed slices plus global group indices — must
-// merge to exactly the static planners' output at every shard count,
-// seal threshold, and sampling mode, including seal boundaries that
-// straddle blocking groups.
+// Equivalence suite for segment-layout planning: plans over a store
+// snapshot's layout — per-segment hashed slices plus global group
+// indices — must merge to exactly the direct serial walk at every shard
+// count, seal threshold, and sampling mode, including seal boundaries
+// that straddle blocking groups, both when the specs read the
+// coordinator's log by reference and when they go over the wire.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -19,80 +21,98 @@ import (
 )
 
 // storeOver replays log's records through a segment store sealing every
-// sealEvery records and returns the snapshot log plus its shard layout.
-func storeOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *SegmentLayout) {
+// sealEvery records and returns the snapshot log.
+func storeOver(t *testing.T, log *joblog.Log, sealEvery int) *joblog.Log {
 	t.Helper()
 	st := joblog.NewStore(log.Schema, sealEvery)
 	for _, r := range log.Records {
 		st.MustAppend(r)
 	}
 	snap := st.Snapshot()
-	layout, err := NewSegmentLayout(snap.Segments())
-	if err != nil {
-		t.Fatal(err)
+	if len(snap.Log().Segments()) != len(snap.Segments()) {
+		t.Fatalf("snapshot log reports %d segments, snapshot has %d", len(snap.Log().Segments()), len(snap.Segments()))
 	}
-	if layout.Total() != log.Len() {
-		t.Fatalf("layout covers %d records, log has %d", layout.Total(), log.Len())
-	}
-	return snap.Log(), layout
+	return snap.Log()
 }
 
 var segSealEveries = []int{5, 17, 40, 200} // several segments + tail ... single tail view
 
-func TestPlanEnumShardsOverMatchesStatic(t *testing.T) {
+// checkSegmentSlices pins that a shipped spec carries the snapshot's
+// segment slices, hash for hash.
+func checkSegmentSlices(t *testing.T, name string, log *joblog.Log, slices []LogSlice) {
+	t.Helper()
+	views := log.Segments()
+	if len(slices) != len(views) {
+		t.Fatalf("%s: spec ships %d slices, want %d segments", name, len(slices), len(views))
+	}
+	for i := range views {
+		if slices[i].Hash != views[i].Hash {
+			t.Fatalf("%s: slice %d hash differs from its segment's", name, i)
+		}
+	}
+}
+
+// wirePlan returns the plan as a worker sees it: shipped and decoded.
+func wirePlan(t *testing.T, specs []EnumSpec) []EnumSpec {
+	t.Helper()
+	out := make([]EnumSpec, len(specs))
+	for i := range specs {
+		out[i] = *roundTrip(t, specs[i].Wire())
+	}
+	return out
+}
+
+func TestPlanEnumShardsSegmentedMatchesSerial(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(21)))
 	q := blockedQuery()
+	d := features.NewDeriver(log.Schema, features.Level3)
 	for _, maxPairs := range []int{0, 500} {
 		pairSeed := stats.DeriveSeed(5, "seg-test")
-		staticSpecs := PlanEnumShards(log, features.Level3, q, q.Despite, maxPairs, 1, pairSeed)
-		wantRefs, wantLabels := runPlan(t, staticSpecs)
+		serial := enumerateRelated(log, d, q, q.Despite, maxPairs, pairSeed, 1)
 		for _, sealEvery := range segSealEveries {
-			snapLog, layout := storeOver(t, log, sealEvery)
+			snapLog := storeOver(t, log, sealEvery)
 			for _, nShards := range []int{1, 2, 7} {
 				name := fmt.Sprintf("maxPairs=%d seal=%d shards=%d", maxPairs, sealEvery, nShards)
-				specs := PlanEnumShardsOver(layout, snapLog, features.Level3, q, q.Despite, maxPairs, nShards, pairSeed)
-				if len(specs) != nShards {
-					t.Fatalf("%s: planned %d specs", name, len(specs))
-				}
+				specs := PlanEnumShards(snapLog, features.Level3, q, q.Despite, maxPairs, nShards, pairSeed)
+				checkNoEmptySpecs(t, name, len(specs), nShards, func(i int) []EnumGroup { return specs[i].Groups })
 				for si := range specs {
-					if len(specs[si].Slices) != len(layout.Slices) {
-						t.Fatalf("%s: spec %d carries %d slices, want %d", name, si, len(specs[si].Slices), len(layout.Slices))
-					}
-					if specs[si].Log.Records != nil || len(specs[si].Global) != 0 {
-						t.Fatalf("%s: spec %d still ships a per-shard record cut", name, si)
-					}
+					checkSegmentSlices(t, name, snapLog, specs[si].Wire().Slices)
 				}
-				refs, labels := runPlan(t, specs)
-				if !reflect.DeepEqual(refs, wantRefs) || !reflect.DeepEqual(labels, wantLabels) {
-					t.Errorf("%s: segmented plan output differs from static (%d pairs vs %d)",
-						name, len(refs), len(wantRefs))
+				for mode, plan := range map[string][]EnumSpec{"by-reference": specs, "wire": wirePlan(t, specs)} {
+					refs, labels := runPlan(t, plan)
+					if !reflect.DeepEqual(refs, serial.refs) || !reflect.DeepEqual(labels, serial.labels) {
+						t.Errorf("%s %s: segmented plan output differs from the serial walk (%d pairs vs %d)",
+							name, mode, len(refs), len(serial.refs))
+					}
 				}
 			}
 		}
 	}
 }
 
-func TestPlanEnumShardsStratifiedOverMatchesStatic(t *testing.T) {
+func TestPlanEnumShardsStratifiedSegmentedMatchesSerial(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(22)))
 	q := blockedQuery()
+	d := features.NewDeriver(log.Schema, features.Level3)
 	pairSeed := stats.DeriveSeed(6, "seg-strat")
-	staticSpecs := PlanEnumShardsStratified(log, features.Level3, q, q.Despite, 300, 1, pairSeed)
-	wantRefs, wantLabels := runPlan(t, staticSpecs)
+	serial := enumerateRelatedOpt(log, d, q, q.Despite, pairSeed, 1, enumOpts{stratified: true, budget: 300})
 	for _, sealEvery := range segSealEveries {
-		snapLog, layout := storeOver(t, log, sealEvery)
+		snapLog := storeOver(t, log, sealEvery)
 		for _, nShards := range []int{1, 2, 7} {
 			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
-			specs := PlanEnumShardsStratifiedOver(layout, snapLog, features.Level3, q, q.Despite, 300, nShards, pairSeed)
-			refs, labels := runPlan(t, specs)
-			if !reflect.DeepEqual(refs, wantRefs) || !reflect.DeepEqual(labels, wantLabels) {
-				t.Errorf("%s: stratified segmented plan differs from static (%d pairs vs %d)",
-					name, len(refs), len(wantRefs))
+			specs := PlanEnumShardsStratified(snapLog, features.Level3, q, q.Despite, 300, nShards, pairSeed)
+			for mode, plan := range map[string][]EnumSpec{"by-reference": specs, "wire": wirePlan(t, specs)} {
+				refs, labels := runPlan(t, plan)
+				if !reflect.DeepEqual(refs, serial.refs) || !reflect.DeepEqual(labels, serial.labels) {
+					t.Errorf("%s %s: stratified segmented plan differs from the serial walk (%d pairs vs %d)",
+						name, mode, len(refs), len(serial.refs))
+				}
 			}
 		}
 	}
 }
 
-func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
+func TestPlanEvalShardsSegmentedMatchesSerial(t *testing.T) {
 	log := groupedLog(90, rand.New(rand.NewSource(23)))
 	q := blockedQuery()
 	x := &Explanation{Because: pxql.Predicate{{Feature: "x_compare", Op: pxql.OpEq, Value: joblog.Str("GT")}}}
@@ -101,44 +121,52 @@ func TestPlanEvalShardsOverMatchesStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sealEvery := range segSealEveries {
-		snapLog, layout := storeOver(t, log, sealEvery)
+		snapLog := storeOver(t, log, sealEvery)
 		for _, nShards := range []int{1, 2, 7} {
 			name := fmt.Sprintf("seal=%d shards=%d", sealEvery, nShards)
-			specs := PlanEvalShardsOver(layout, snapLog, features.Level3, q, x, 500, nShards, stats.DeriveSeed(3, "evaluate"))
-			var context, exp, bec, obs int
-			for si := range specs {
-				res, err := specs[si].Run()
-				if err != nil {
-					t.Fatalf("%s: spec %d: %v", name, si, err)
+			specs := PlanEvalShards(snapLog, features.Level3, q, x, 500, nShards, stats.DeriveSeed(3, "evaluate"))
+			for wire := range 2 {
+				var ctxPairs, exp, bec, obs int
+				for si := range specs {
+					spec := &specs[si]
+					if wire == 1 {
+						checkSegmentSlices(t, name, snapLog, spec.Wire().Slices)
+						spec = roundTrip(t, spec.Wire())
+					}
+					res, err := spec.Run()
+					if err != nil {
+						t.Fatalf("%s: spec %d: %v", name, si, err)
+					}
+					ctxPairs += res.Context
+					exp += res.Exp
+					bec += res.Bec
+					obs += res.ObsGivenBec
 				}
-				context += res.Context
-				exp += res.Exp
-				bec += res.Bec
-				obs += res.ObsGivenBec
-			}
-			merged, err := metricsFromCounts(context, exp, bec, obs)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if merged != serial {
-				t.Errorf("%s: merged metrics %+v differ from serial %+v", name, merged, serial)
+				merged, err := metricsFromCounts(ctxPairs, exp, bec, obs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if merged != serial {
+					t.Errorf("%s wire=%d: merged metrics %+v differ from serial %+v", name, wire, merged, serial)
+				}
 			}
 
-			// The public entry point with a layout must agree too.
-			got, err := EvaluateExplanationShardedOver(layout, snapLog, features.Level3, q, x, 500, 3, nShards, serialEvalRunner{})
+			// The public entry point over the snapshot must agree too.
+			got, err := EvaluateExplanationCtx(context.Background(), snapLog, features.Level3, q, x, 500, 3, 0, nShards, serialEvalRunner{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if got != serial {
-				t.Errorf("%s: ShardedOver metrics %+v differ from serial %+v", name, got, serial)
+				t.Errorf("%s: sharded metrics %+v differ from serial %+v", name, got, serial)
 			}
 		}
 	}
 }
 
 // TestExplainerWithLayoutByteIdentical pins the end-to-end contract:
-// an explainer configured with a segment layout produces exactly the
-// explanation of the static path, at several shard counts and seal
+// an explainer over a store snapshot — whose runner-backed planners use
+// the snapshot's segment layout — produces exactly the explanation of
+// the direct path over the flat log, at several shard counts and seal
 // thresholds.
 func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -164,12 +192,12 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 	for _, mode := range []string{"", "stratified"} {
 		base := explain(log, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000, SampleMode: mode})
 		for _, sealEvery := range []int{17, 40} {
-			snapLog, layout := storeOver(t, log, sealEvery)
+			snapLog := storeOver(t, log, sealEvery)
 			for _, nShards := range []int{1, 2, 7} {
 				got := explain(snapLog, Config{Width: 3, DespiteWidth: 2, Seed: 13, MaxPairs: 2000,
-					SampleMode: mode, Shards: nShards, Runner: serialEvalRunner{}, Layout: layout})
+					SampleMode: mode, Shards: nShards, Runner: serialEvalRunner{}})
 				if got != base {
-					t.Errorf("mode=%q seal=%d shards=%d: segmented explanation differs:\n%s\nvs static:\n%s",
+					t.Errorf("mode=%q seal=%d shards=%d: segmented explanation differs:\n%s\nvs direct:\n%s",
 						mode, sealEvery, nShards, got, base)
 				}
 			}
@@ -177,39 +205,50 @@ func TestExplainerWithLayoutByteIdentical(t *testing.T) {
 	}
 }
 
-func TestNewSegmentLayoutValidates(t *testing.T) {
+// TestLayoutFromLog pins how a layout derives from its log: a flat log
+// is one segment hashed like its wire form, a snapshot log ships its
+// segment views hash for hash, the layout is memoized per log
+// generation, and a mutated log gets a fresh layout.
+func TestLayoutFromLog(t *testing.T) {
 	schema := joblog.NewSchema([]joblog.Field{{Name: "x", Kind: joblog.Numeric}})
-	rec := func(id string) *joblog.Record {
-		return &joblog.Record{ID: id, Values: []joblog.Value{joblog.Num(1)}}
+	rec := func(id string, x float64) *joblog.Record {
+		return &joblog.Record{ID: id, Values: []joblog.Value{joblog.Num(x)}}
 	}
+	flat := joblog.NewLog(schema)
 	st := joblog.NewStore(schema, 2)
 	for i := 0; i < 5; i++ {
-		st.MustAppend(rec(fmt.Sprintf("r%d", i)))
-	}
-	views := st.Snapshot().Segments()
-
-	if _, err := NewSegmentLayout(views); err != nil {
-		t.Fatalf("valid views rejected: %v", err)
-	}
-	if empty, err := NewSegmentLayout(nil); err != nil || empty.Total() != 0 {
-		t.Errorf("empty view list: layout %v, err %v; want empty layout", empty, err)
-	}
-	if _, err := NewSegmentLayout(views[1:]); err == nil {
-		t.Error("views not starting at 0 accepted")
-	}
-	gap := []joblog.SegmentView{views[0], views[2]}
-	if _, err := NewSegmentLayout(gap); err == nil {
-		t.Error("non-contiguous views accepted")
+		flat.MustAppend(rec(fmt.Sprintf("r%d", i), float64(i)))
+		st.MustAppend(rec(fmt.Sprintf("r%d", i), float64(i)))
 	}
 
-	// NewExplainer rejects a layout that does not cover the log.
-	log := joblog.NewLog(schema)
-	log.MustAppend(rec("a"))
-	layout, err := NewSegmentLayout(views)
+	ly := LayoutOf(flat)
+	if LayoutOf(flat) != ly {
+		t.Error("layout not memoized for an unchanged log")
+	}
+	if ss := ly.Slices(); len(ss) != 1 || ss[0].Hash != joblog.HashSlice(flat.Wire(), nil) {
+		t.Fatalf("flat layout ships %d slices; want one hashed like the log's wire form", len(ss))
+	}
+	flat.MustAppend(rec("r5", 5))
+	grown := LayoutOf(flat)
+	if grown == ly || grown.Slices()[0].Hash == ly.Slices()[0].Hash {
+		t.Error("layout not refreshed after the log grew")
+	}
+
+	snap := st.Snapshot()
+	views := snap.Segments()
+	if len(views) != 3 {
+		t.Fatalf("fixture snapshot has %d segments, want 3", len(views))
+	}
+	ss := LayoutOf(snap.Log()).Slices()
+	checkSegmentSlices(t, "snapshot", snap.Log(), ss)
+	data, err := view(nil, ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExplainer(log, Config{Layout: layout}); err == nil {
-		t.Error("explainer accepted a layout covering a different record count")
+	if !reflect.DeepEqual(data.Log.Wire(), snap.Log().Wire()) {
+		t.Error("decoded segment slices do not concatenate to the snapshot log")
+	}
+	if got := flat.Segments(); got != nil {
+		t.Errorf("flat log reports %d segments", len(got))
 	}
 }

@@ -4,14 +4,17 @@ package core
 // stages of explanation generation — pair enumeration, training-sample
 // materialization and per-feature candidate scoring — are cut into
 // self-contained shard specs that carry everything a worker needs: the
-// slice of the execution log the shard's pairs touch, the coordinator's
-// interned symbol table, the predicates in wire form, and the splitmix
-// counter ranges of the subsampling decision (the seed plus the global
-// record indices it keys on). A spec can be executed in this process
-// (Run) or shipped over a pipe to a `pxql -shard-worker` subprocess —
-// the gob protocol lives in internal/shard — and results merge in spec
-// order, so the output is byte-identical to the serial path at every
-// shard count and in every execution mode.
+// execution log as content-addressed slices (the log's segments for
+// enumeration and evaluation, see segment.go; the training sample's
+// records, with the coordinator's interned symbol table, for
+// materialization and scoring), the predicates in wire form, and the
+// splitmix counter ranges of the subsampling decision (the seed plus
+// the global record indices it keys on). A spec can be executed in this
+// process (Run, which reads the coordinator's log by reference) or
+// shipped over a pipe to a `pxql -shard-worker` subprocess — the gob
+// protocol lives in internal/shard — and results merge in spec order,
+// so the output is byte-identical to the serial path at every shard
+// count and in every execution mode.
 //
 // Layering: this package defines the specs, the planner and the
 // executors; the ShardRunner interface below is the seam internal/shard
@@ -63,7 +66,7 @@ type SlicePrefetcher interface {
 // payload is resent. Execution is byte-identical either way: the hash
 // covers every bit of the payload, so a hit decodes to exactly what a
 // fresh ship would have.
-//pxql:wirehash f9b339a4bd393892 v=5
+//pxql:wirehash ceaf829da3a51793 v=6
 
 //pxql:wire decode=Data
 type LogSlice struct {
@@ -132,15 +135,15 @@ func (s *LogSlice) Data() (*SliceData, error) {
 	return &SliceData{Log: log, Cols: cols}, nil
 }
 
-// EnumGroup is one blocking group's contribution to an enumeration
-// shard: the group's full membership (the inner loop needs every member)
-// plus the outer-member positions [Lo, Hi) this shard owns. A group
-// larger than a shard's unit budget straddles shard boundaries by
-// appearing in several specs with disjoint outer ranges.
+// EnumGroup is one blocking group's contribution to an enumeration or
+// evaluation shard: the group's full membership (the inner loop needs
+// every member) plus the outer-member positions [Lo, Hi) this shard
+// owns. A group larger than a shard's unit budget straddles shard
+// boundaries by appearing in several specs with disjoint outer ranges.
 //
 //pxql:wire decode=EnumSpec.Run
 type EnumGroup struct {
-	Members []int `json:"members"` // local record indices, group order
+	Members []int `json:"members"` // global record indices, group order
 	Lo      int   `json:"lo"`
 	Hi      int   `json:"hi"`
 	// Budget is the group's total stratified pair budget (the whole
@@ -156,17 +159,13 @@ type EnumGroup struct {
 //
 //pxql:wire decode=Run
 type EnumSpec struct {
-	Log joblog.WireLog `json:"log"` // records of this shard's groups
-	// Slices, when non-empty, replaces Log as the record carriage: the
-	// content-addressed segment slices of a watermark snapshot (see
-	// SegmentLayout), concatenating in order to the whole log. Group
-	// members then address records globally and Global may be empty
-	// (identity).
+	// Slices carries the log on the wire: the layout's content-addressed
+	// segment slices, concatenating in order to the whole log. A planned
+	// spec leaves it empty until Wire fills it.
 	Slices []LogSlice  `json:"slices,omitempty"`
-	Global []int       `json:"global"` // global record index per local record
 	Groups []EnumGroup `json:"groups,omitempty"`
 	KeepP  float64     `json:"keep_p"` // global Bernoulli keep probability
-	Seed   uint64      `json:"seed"`   // splitmix seed; counters key on Global
+	Seed   uint64      `json:"seed"`   // splitmix seed; counters key on record indices
 	// Stratified switches the walk from Bernoulli thinning (keepPair over
 	// KeepP) to per-group budgeted draws (groupDraws over each group's
 	// Budget, seeded by the first member's global index).
@@ -181,6 +180,8 @@ type EnumSpec struct {
 	Despite  pxql.PredicateSpec `json:"despite"`
 	Observed pxql.PredicateSpec `json:"observed"`
 	Expected pxql.PredicateSpec `json:"expected"`
+
+	layout *SegmentLayout // the planning coordinator's log; nil once decoded
 }
 
 // Enumeration round markers (EnumSpec.Round).
@@ -268,7 +269,7 @@ type ScoreResult struct {
 }
 
 // EvalSpec is a self-contained unit of explanation evaluation: the
-// shard's slice of the quadratic obs/exp walk EvaluateExplanation
+// shard's slice of the quadratic obs/exp walk EvaluateExplanationCtx
 // performs over the despite context (the query's despite clause
 // conjoined with the explanation's generated extension). Like EnumSpec
 // it carries blocking groups with outer ranges and the splitmix counter
@@ -279,11 +280,7 @@ type ScoreResult struct {
 //
 //pxql:wire decode=Run
 type EvalSpec struct {
-	Slice LogSlice `json:"slice"`
-	// Slices, when non-empty, replaces Slice: per-segment slices of a
-	// watermark snapshot, exactly as on EnumSpec.
-	Slices   []LogSlice         `json:"slices,omitempty"`
-	Global   []int              `json:"global"` // global record index per local record
+	Slices   []LogSlice         `json:"slices,omitempty"` // as on EnumSpec
 	Groups   []EnumGroup        `json:"groups,omitempty"`
 	KeepP    float64            `json:"keep_p"`
 	Seed     uint64             `json:"seed"`
@@ -292,11 +289,13 @@ type EvalSpec struct {
 	Observed pxql.PredicateSpec `json:"observed"`
 	Expected pxql.PredicateSpec `json:"expected"`
 	Because  pxql.PredicateSpec `json:"because"`
+
+	layout *SegmentLayout // the planning coordinator's log; nil once decoded
 }
 
 // EvalResult carries one shard's contribution to the metric counts.
 //
-//pxql:wire decode=EvaluateExplanationSharded
+//pxql:wire decode=EvaluateExplanationCtx
 type EvalResult struct {
 	Context     int `json:"context"`       // pairs satisfying the despite context
 	Exp         int `json:"exp"`           // … additionally satisfying expected
@@ -309,99 +308,49 @@ type EvalResult struct {
 // to within one unit.
 func cutPoint(n, nShards, s int) int { return s * n / nShards }
 
-// localIndexer assigns compact local record indices in first-appearance
-// order while collecting the referenced records — the single definition
-// of how every shard spec lays out its log slice.
-type localIndexer struct {
-	log    *joblog.Log
-	local  map[int]int
-	recs   []*joblog.Record
-	global []int // global index per local record
-}
-
-func newLocalIndexer(log *joblog.Log) *localIndexer {
-	return &localIndexer{log: log, local: make(map[int]int)}
-}
-
-func (x *localIndexer) of(global int) int {
-	li, ok := x.local[global]
-	if !ok {
-		li = len(x.recs)
-		x.local[global] = li
-		x.recs = append(x.recs, x.log.Records[global])
-		x.global = append(x.global, global)
-	}
-	return li
-}
-
-func (x *localIndexer) wire() joblog.WireLog {
-	return joblog.WireSlice(x.log.Schema, x.recs)
-}
-
-// groupCut is one shard's slice of a blocked pair walk: the wire form of
-// the records its groups touch, the global index per local record, and
-// the groups with the outer-member ranges this shard owns.
-type groupCut struct {
-	Log    joblog.WireLog
-	Global []int
-	Groups []EnumGroup
-}
-
-// cutGroupShards cuts the flattened (group, outer-member) sequence of a
-// blocked pair space into nShards proportional, contiguous slices —
+// cutGroups cuts the flattened (group, outer-member) sequence of a
+// blocked pair space into proportional, contiguous, non-empty slices —
 // the single definition of how both the enumeration and the evaluation
 // planner partition a quadratic pair walk. Shard boundaries may fall
 // inside a blocking group (it then appears in several cuts with disjoint
-// outer ranges); when nShards exceeds the outer-member count, trailing
-// cuts are empty. budgets, when non-nil, carries one stratified pair
-// budget per group (parallel to groups) onto every cut the group appears
-// in; nil leaves Budget zero (Bernoulli mode).
-func cutGroupShards(log *joblog.Log, groups [][]int, budgets []int, nShards int) []groupCut {
+// outer ranges). The shard count is capped at the number of outer
+// members, so no cut is empty: an empty spec would still carry every
+// segment slice for a walk of nothing. budgets, when non-nil, carries
+// one stratified pair budget per group (parallel to groups) onto every
+// cut the group appears in; nil leaves Budget zero (Bernoulli mode).
+func cutGroups(groups [][]int, budgets []int, nShards int) [][]EnumGroup {
 	units := 0
 	for _, g := range groups {
 		units += len(g)
 	}
-	cuts := make([]groupCut, nShards)
-	for s := 0; s < nShards; s++ {
+	if nShards > units {
+		nShards = units
+	}
+	cuts := make([][]EnumGroup, nShards)
+	for s := range cuts {
 		lo, hi := cutPoint(units, nShards, s), cutPoint(units, nShards, s+1)
-		idx := newLocalIndexer(log)
-		var cut groupCut
 		off := 0
 		for gi, g := range groups {
-			gLo, gHi := lo-off, hi-off
+			gLo, gHi := max(lo-off, 0), min(hi-off, len(g))
 			off += len(g)
-			if gLo < 0 {
-				gLo = 0
-			}
-			if gHi > len(g) {
-				gHi = len(g)
-			}
 			if gLo >= gHi {
 				continue
 			}
-			eg := EnumGroup{Members: make([]int, len(g)), Lo: gLo, Hi: gHi}
+			eg := EnumGroup{Members: g, Lo: gLo, Hi: gHi}
 			if budgets != nil {
 				eg.Budget = budgets[gi]
 			}
-			for k, ri := range g {
-				eg.Members[k] = idx.of(ri)
-			}
-			cut.Groups = append(cut.Groups, eg)
+			cuts[s] = append(cuts[s], eg)
 		}
-		cut.Log = idx.wire()
-		cut.Global = idx.global
-		cuts[s] = cut
 	}
 	return cuts
 }
 
 // PlanEnumShards partitions the blocked pair space of (log, despite)
-// into nShards self-contained enumeration specs. The flattened (group,
-// outer-member) sequence is cut proportionally, so shard boundaries may
-// fall inside a blocking group; concatenating shard results in spec
-// order reproduces the serial iteration order exactly. When nShards
-// exceeds the outer-member count, trailing specs are empty (no groups) —
-// they execute to empty results.
+// into at most nShards enumeration specs over the log's segment layout.
+// The flattened (group, outer-member) sequence is cut proportionally, so
+// shard boundaries may fall inside a blocking group; concatenating shard
+// results in spec order reproduces the serial iteration order exactly.
 //
 // The plan is a pure function of (records, despite, query outcome
 // clauses, maxPairs, nShards, seed): everything it reads — including
@@ -411,149 +360,127 @@ func cutGroupShards(log *joblog.Log, groups [][]int, budgets []int, nShards int)
 func PlanEnumShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	despite pxql.Predicate, maxPairs, nShards int, seed uint64) []EnumSpec {
 
-	if nShards < 1 {
-		nShards = 1
-	}
 	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, nil, nShards) {
-		specs[s] = EnumSpec{
-			Log:      cut.Log,
-			Global:   cut.Global,
-			Groups:   cut.Groups,
-			KeepP:    keepP,
-			Seed:     seed,
-			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-		}
-	}
-	return specs
+	return planEnum(log, level, q, despite, groups, nil, keepP, nShards, seed, RoundFinal)
 }
 
 // PlanEnumShardsStratified is PlanEnumShards for the stratified sampling
 // mode: instead of one global Bernoulli probability, every blocking
 // group carries its allocated pair budget (see stratifyBudgets) and
 // workers re-derive the group's draw set from the seed and the group's
-// first global record index — so the union of shard outputs, merged in
-// spec order, is identical at every shard count and equals the
-// in-process stratified walk.
+// first record index — so the union of shard outputs, merged in spec
+// order, is identical at every shard count and equals the in-process
+// stratified walk.
 func PlanEnumShardsStratified(log *joblog.Log, level features.Level, q *pxql.Query,
 	despite pxql.Predicate, budget, nShards int, seed uint64) []EnumSpec {
 
-	if nShards < 1 {
-		nShards = 1
-	}
-	// seek=false: stratified draws are keyed on each group's first global
+	// seek=false: stratified draws are keyed on each group's first
 	// member and size, so row filtering would change the draw set.
 	groups, _ := blockedGroupsOpt(log, despite, 0, true, false)
-	return planEnumStratified(log, level, q, despite, groups, stratifyBudgets(groups, budget), nShards, seed, RoundFinal)
+	return planEnum(log, level, q, despite, groups, stratifyBudgets(groups, budget), 1, nShards, seed, RoundFinal)
 }
 
-// planEnumStratified cuts a stratified enumeration round with explicit
-// per-group budgets — the shared tail of PlanEnumShardsStratified and
-// the Wilson-adaptive two-pass planner (which computes pilot and final
-// budgets itself). budgets is parallel to groups.
-func planEnumStratified(log *joblog.Log, level features.Level, q *pxql.Query,
-	despite pxql.Predicate, groups [][]int, budgets []int, nShards int, seed uint64, round int) []EnumSpec {
+// planEnum cuts one enumeration round into specs — the shared tail of
+// both planners and of the Wilson-adaptive rounds (which compute pilot
+// and final budgets themselves). budgets, parallel to groups, selects
+// stratified mode; nil selects Bernoulli thinning under keepP.
+func planEnum(log *joblog.Log, level features.Level, q *pxql.Query, despite pxql.Predicate,
+	groups [][]int, budgets []int, keepP float64, nShards int, seed uint64, round int) []EnumSpec {
 
-	if nShards < 1 {
-		nShards = 1
-	}
-	specs := make([]EnumSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, budgets, nShards) {
+	layout := LayoutOf(log)
+	des, obs, exp := despite.Spec(), q.Observed.Spec(), q.Expected.Spec()
+	cuts := cutGroups(groups, budgets, max(nShards, 1))
+	specs := make([]EnumSpec, len(cuts))
+	for s, cut := range cuts {
 		specs[s] = EnumSpec{
-			Log:        cut.Log,
-			Global:     cut.Global,
-			Groups:     cut.Groups,
-			KeepP:      1,
+			Groups:     cut,
+			KeepP:      keepP,
 			Seed:       seed,
-			Stratified: true,
+			Stratified: budgets != nil,
 			Round:      round,
 			Level:      level,
-			Despite:    despite.Spec(),
-			Observed:   q.Observed.Spec(),
-			Expected:   q.Expected.Spec(),
+			Despite:    des,
+			Observed:   obs,
+			Expected:   exp,
+			layout:     layout,
 		}
 	}
 	return specs
 }
 
-// PlanEvalShards partitions the quadratic walk of EvaluateExplanation —
-// the ordered pairs of the despite context des ∧ des' — into nShards
-// self-contained evaluation specs, cut exactly like enumeration shards.
-// Each spec's slice is content-addressed, so repeated evaluations over
-// the same log and despite context (the common case: a harness scoring
-// one explanation at several widths) reference cached slices instead of
-// re-shipping them.
+// PlanEvalShards partitions the quadratic walk of an evaluation — the
+// ordered pairs of the despite context des ∧ des' — into at most nShards
+// evaluation specs, cut exactly like enumeration shards. Every spec
+// shares the log's segment slices, so repeated evaluations over the
+// same log (a harness scoring one explanation at several widths)
+// reference cached slices instead of re-shipping them.
 func PlanEvalShards(log *joblog.Log, level features.Level, q *pxql.Query,
 	x *Explanation, maxPairs, nShards int, seed uint64) []EvalSpec {
 
-	if nShards < 1 {
-		nShards = 1
-	}
+	layout := LayoutOf(log)
 	despite := q.Despite.And(x.Despite)
 	groups, keepP := blockedGroups(log, despite, maxPairs)
-	specs := make([]EvalSpec, nShards)
-	for s, cut := range cutGroupShards(log, groups, nil, nShards) {
+	des, obs, exp, bec := despite.Spec(), q.Observed.Spec(), q.Expected.Spec(), x.Because.Spec()
+	cuts := cutGroups(groups, nil, max(nShards, 1))
+	specs := make([]EvalSpec, len(cuts))
+	for s, cut := range cuts {
 		specs[s] = EvalSpec{
-			Slice:    NewLogSlice(cut.Log, nil),
-			Global:   cut.Global,
-			Groups:   cut.Groups,
+			Groups:   cut,
 			KeepP:    keepP,
 			Seed:     seed,
 			Level:    level,
-			Despite:  despite.Spec(),
-			Observed: q.Observed.Spec(),
-			Expected: q.Expected.Spec(),
-			Because:  x.Because.Spec(),
+			Despite:  des,
+			Observed: obs,
+			Expected: exp,
+			Because:  bec,
+			layout:   layout,
 		}
 	}
 	return specs
 }
 
-// Run executes the enumeration spec in this process — the shared
-// executor behind both the in-process runner and subprocess workers.
-// Predicates are compiled against the shard's own columnar view;
-// compiled evaluation is intern-independent (it matches the interpreted
-// semantics exactly), so the labels and the globally addressed refs are
-// identical to the coordinator's serial walk.
-func (s *EnumSpec) Run() (*EnumResult, error) {
-	if len(s.Slices) > 0 {
-		data, err := DecodeSlices(s.Slices)
-		if err != nil {
-			return nil, err
-		}
-		return s.RunWith(data)
+// Wire returns the spec as shipped: a copy carrying the layout's
+// segment slices (built on first use and memoized with the layout). A
+// decoded spec is returned as-is.
+func (s *EnumSpec) Wire() *EnumSpec {
+	if s.layout == nil {
+		return s
 	}
-	log, err := s.Log.Log()
+	c := *s
+	c.Slices, c.layout = s.layout.Slices(), nil
+	return &c
+}
+
+// Wire returns the spec as shipped, as EnumSpec.Wire does.
+func (s *EvalSpec) Wire() *EvalSpec {
+	if s.layout == nil {
+		return s
+	}
+	c := *s
+	c.Slices, c.layout = s.layout.Slices(), nil
+	return &c
+}
+
+// Run executes the enumeration spec in this process: a planned spec
+// reads the coordinator's log by reference, a decoded one decodes and
+// combines its slices.
+func (s *EnumSpec) Run() (*EnumResult, error) {
+	data, err := view(s.layout, s.Slices)
 	if err != nil {
 		return nil, err
 	}
-	return s.runWith(log, log.Columns())
+	return s.RunWith(data)
 }
 
-// RunWith executes the enumeration spec against an already-combined
-// decoded view — the worker cache's hit path for segmented specs (the
+// RunWith executes the enumeration spec against a whole-log view — the
+// executor shared by the in-process runner and subprocess workers (whose
 // runtime resolves each segment slice through its cache and combines
-// them once per watermark).
+// them once per watermark). Predicates are compiled against that view;
+// compiled evaluation is intern-independent (it matches the interpreted
+// semantics exactly), so the labels and refs are identical to the
+// coordinator's serial walk.
 func (s *EnumSpec) RunWith(data *SliceData) (*EnumResult, error) {
-	return s.runWith(data.Log, data.Cols)
-}
-
-func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, error) {
-	glob := s.Global
-	if len(glob) == 0 && log.Len() > 0 {
-		// Segmented specs address records globally: identity mapping.
-		glob = make([]int, log.Len())
-		for i := range glob {
-			glob[i] = i
-		}
-	}
-	if len(glob) != log.Len() {
-		return nil, fmt.Errorf("core: enum spec has %d global indices for %d records", len(s.Global), log.Len())
-	}
+	cols := data.Cols
 	if s.Level < features.Level1 || s.Level > features.Level3 {
 		return nil, fmt.Errorf("core: enum spec has invalid feature level %d", s.Level)
 	}
@@ -570,9 +497,9 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 		if g.Budget < 0 {
 			return nil, fmt.Errorf("core: enum spec group %d has negative budget %d", gi, g.Budget)
 		}
-		for _, li := range g.Members {
-			if li < 0 || li >= log.Len() {
-				return nil, fmt.Errorf("core: enum spec group %d references record %d of %d", gi, li, log.Len())
+		for _, ri := range g.Members {
+			if ri < 0 || ri >= cols.Len() {
+				return nil, fmt.Errorf("core: enum spec group %d references record %d of %d", gi, ri, cols.Len())
 			}
 		}
 	}
@@ -589,7 +516,7 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 		return nil, err
 	}
 
-	d := features.NewDeriver(log.Schema, s.Level)
+	d := features.NewDeriver(cols.Schema(), s.Level)
 	cDes := despite.Compile(d, cols)
 	cObs := obs.Compile(d, cols)
 	cExp := exp.Compile(d, cols)
@@ -598,37 +525,33 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 	des := bitset.Make(pairBlock)
 	obsSel := bitset.Make(pairBlock)
 	expSel := bitset.Make(pairBlock)
-	aiL := make([]int, 0, pairBlock) // local indices: predicate evaluation
-	biL := make([]int, 0, pairBlock)
-	aiG := make([]int, 0, pairBlock) // global indices: keep decision + refs
-	biG := make([]int, 0, pairBlock)
+	ai := make([]int, 0, pairBlock)
+	bi := make([]int, 0, pairBlock)
 	flush := func() {
-		if len(aiL) == 0 {
+		if len(ai) == 0 {
 			return
 		}
-		nw := bitset.Words(len(aiL))
+		nw := bitset.Words(len(ai))
 		dS, oS, eS := des[:nw], obsSel[:nw], expSel[:nw]
-		cDes.EvalBlock(aiL, biL, dS)
+		cDes.EvalBlock(ai, bi, dS)
 		oS.CopyFrom(dS)
-		cObs.AndBlock(aiL, biL, oS)
+		cObs.AndBlock(ai, bi, oS)
 		eS.CopyFrom(dS)
-		cExp.AndBlock(aiL, biL, eS)
+		cExp.AndBlock(ai, bi, eS)
 		// Related = (obs ∪ exp) within the despite selection, classified
 		// exactly like enumerateRelated.
 		eS.OrWith(oS)
 		eS.ForEach(func(k int) {
-			res.RefA = append(res.RefA, aiG[k])
-			res.RefB = append(res.RefB, biG[k])
+			res.RefA = append(res.RefA, ai[k])
+			res.RefB = append(res.RefB, bi[k])
 			res.Labels = append(res.Labels, oS.Get(k))
 		})
-		aiL, biL, aiG, biG = aiL[:0], biL[:0], aiG[:0], biG[:0]
+		ai, bi = ai[:0], bi[:0]
 	}
-	emit := func(li, lj int) {
-		aiL = append(aiL, li)
-		biL = append(biL, lj)
-		aiG = append(aiG, glob[li])
-		biG = append(biG, glob[lj])
-		if len(aiL) == pairBlock {
+	emit := func(i, j int) {
+		ai = append(ai, i)
+		bi = append(bi, j)
+		if len(ai) == pairBlock {
 			flush()
 		}
 	}
@@ -638,7 +561,7 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 			// Re-derive the whole group's draw set (identical in every
 			// straddling shard) and walk the outer positions this shard
 			// owns — a contiguous run of the sorted flat indices.
-			ts := groupDraws(s.Seed, glob[g.Members[0]], n, g.Budget)
+			ts := groupDraws(s.Seed, g.Members[0], n, g.Budget)
 			n1 := uint64(n - 1)
 			lo := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Lo)*n1 })
 			hi := sort.Search(len(ts), func(k int) bool { return ts[k] >= uint64(g.Hi)*n1 })
@@ -653,17 +576,15 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 			}
 			continue
 		}
-		for _, li := range g.Members[g.Lo:g.Hi] {
-			gi := glob[li]
-			for _, lj := range g.Members {
-				gj := glob[lj]
-				if gi == gj {
+		for _, i := range g.Members[g.Lo:g.Hi] {
+			for _, j := range g.Members {
+				if i == j {
 					continue
 				}
-				if !s.Stratified && !keepPair(s.Seed, gi, gj, s.KeepP) {
+				if !s.Stratified && !keepPair(s.Seed, i, j, s.KeepP) {
 					continue
 				}
-				emit(li, lj)
+				emit(i, j)
 			}
 		}
 	}
@@ -671,43 +592,24 @@ func (s *EnumSpec) runWith(log *joblog.Log, cols *joblog.Columns) (*EnumResult, 
 	return res, nil
 }
 
-// Run executes the evaluation spec in this process, decoding its slice
-// (or combining its segment slices).
+// Run executes the evaluation spec in this process, as EnumSpec.Run
+// does.
 func (s *EvalSpec) Run() (*EvalResult, error) {
-	if len(s.Slices) > 0 {
-		data, err := DecodeSlices(s.Slices)
-		if err != nil {
-			return nil, err
-		}
-		return s.RunWith(data)
-	}
-	data, err := s.Slice.Data()
+	data, err := view(s.layout, s.Slices)
 	if err != nil {
 		return nil, err
 	}
 	return s.RunWith(data)
 }
 
-// RunWith executes the evaluation spec against an already-decoded slice
-// (the worker cache's hit path). The walk mirrors EvaluateExplanation's
-// batched inner loop bit for bit: the despite context fills a selection
-// bitmap per tile, expected and because push down over copies, observed
-// pushes down over the because selection, and all four counts are
-// popcounts — integers, so summing shard results in any grouping equals
-// the serial totals exactly.
+// RunWith executes the evaluation spec against a whole-log view. The
+// walk mirrors the direct evaluation's batched inner loop bit for bit:
+// the despite context fills a selection bitmap per tile, expected and
+// because push down over copies, observed pushes down over the because
+// selection, and all four counts are popcounts — integers, so summing
+// shard results in any grouping equals the serial totals exactly.
 func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
-	log := data.Log
-	glob := s.Global
-	if len(glob) == 0 && log.Len() > 0 {
-		// Segmented specs address records globally: identity mapping.
-		glob = make([]int, log.Len())
-		for i := range glob {
-			glob[i] = i
-		}
-	}
-	if len(glob) != log.Len() {
-		return nil, fmt.Errorf("core: eval spec has %d global indices for %d records", len(s.Global), log.Len())
-	}
+	cols := data.Cols
 	if s.Level < features.Level1 || s.Level > features.Level3 {
 		return nil, fmt.Errorf("core: eval spec has invalid feature level %d", s.Level)
 	}
@@ -715,9 +617,9 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 		if g.Lo < 0 || g.Hi < g.Lo || g.Hi > len(g.Members) {
 			return nil, fmt.Errorf("core: eval spec group %d has invalid outer range [%d, %d)", gi, g.Lo, g.Hi)
 		}
-		for _, li := range g.Members {
-			if li < 0 || li >= log.Len() {
-				return nil, fmt.Errorf("core: eval spec group %d references record %d of %d", gi, li, log.Len())
+		for _, ri := range g.Members {
+			if ri < 0 || ri >= cols.Len() {
+				return nil, fmt.Errorf("core: eval spec group %d references record %d of %d", gi, ri, cols.Len())
 			}
 		}
 	}
@@ -738,8 +640,7 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 		return nil, err
 	}
 
-	d := features.NewDeriver(log.Schema, s.Level)
-	cols := data.Cols
+	d := features.NewDeriver(cols.Schema(), s.Level)
 	cDes := despite.Compile(d, cols)
 	cObs := obs.Compile(d, cols)
 	cExp := exp.Compile(d, cols)
@@ -769,18 +670,16 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 		ai, bi = ai[:0], bi[:0]
 	}
 	for _, g := range s.Groups {
-		for _, li := range g.Members[g.Lo:g.Hi] {
-			gi := glob[li]
-			for _, lj := range g.Members {
-				gj := glob[lj]
-				if gi == gj {
+		for _, i := range g.Members[g.Lo:g.Hi] {
+			for _, j := range g.Members {
+				if i == j {
 					continue
 				}
-				if !keepPair(s.Seed, gi, gj, s.KeepP) {
+				if !keepPair(s.Seed, i, j, s.KeepP) {
 					continue
 				}
-				ai = append(ai, li)
-				bi = append(bi, lj)
+				ai = append(ai, i)
+				bi = append(bi, j)
 				if len(ai) == pairBlock {
 					flush()
 				}
@@ -795,14 +694,24 @@ func (s *EvalSpec) RunWith(data *SliceData) (*EvalResult, error) {
 // in first-appearance order over (a0, b0, a1, b1, ...), plus the pairs
 // re-addressed by local index.
 func pairSlice(log *joblog.Log, refs []pairRef) (wire joblog.WireLog, pa, pb []int) {
-	idx := newLocalIndexer(log)
+	local := make(map[int]int)
+	var recs []*joblog.Record
+	of := func(global int) int {
+		li, ok := local[global]
+		if !ok {
+			li = len(recs)
+			local[global] = li
+			recs = append(recs, log.Records[global])
+		}
+		return li
+	}
 	pa = make([]int, len(refs))
 	pb = make([]int, len(refs))
 	for i, ref := range refs {
-		pa[i] = idx.of(ref.a)
-		pb[i] = idx.of(ref.b)
+		pa[i] = of(ref.a)
+		pb[i] = of(ref.b)
 	}
-	return idx.wire(), pa, pb
+	return joblog.WireSlice(log.Schema, recs), pa, pb
 }
 
 // plannedSample is the shard-execution view of one training sample: its
@@ -1054,13 +963,10 @@ func (e *Explainer) enumeratePairs(ctx context.Context, q *pxql.Query, despite p
 		return enumerateRelated(e.log, e.d, q, despite, e.cfg.MaxPairs, seed, e.cfg.Parallelism), nil
 	}
 	e.prefetchLayout()
-	var specs []EnumSpec
 	if stratified {
-		specs = PlanEnumShardsStratifiedOver(e.cfg.Layout, e.log, e.d.Level(), q, despite, e.cfg.SampleBudget, e.cfg.Shards, seed)
-	} else {
-		specs = PlanEnumShardsOver(e.cfg.Layout, e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, e.cfg.Shards, seed)
+		return e.runEnumSpecs(PlanEnumShardsStratified(e.log, e.d.Level(), q, despite, e.cfg.SampleBudget, e.cfg.Shards, seed))
 	}
-	return e.runEnumSpecs(specs)
+	return e.runEnumSpecs(PlanEnumShards(e.log, e.d.Level(), q, despite, e.cfg.MaxPairs, e.cfg.Shards, seed))
 }
 
 // runEnumSpecs executes planned enumeration specs on the configured

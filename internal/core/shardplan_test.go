@@ -5,9 +5,12 @@ package core
 // every related pair in exactly one shard, shard union equal to the
 // serial pair set in serial order — and planning must be a pure function
 // of the records, invariant under memo (columnar view) rebuilds and
-// unaffected by later log appends.
+// unaffected by later log appends. No planned spec is ever empty.
 
 import (
+	"bytes"
+	"context"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -52,6 +55,21 @@ func blockedQuery() *pxql.Query {
 	}
 }
 
+// roundTrip gob-encodes and decodes a value — the wire path of a spec
+// without a worker in between.
+func roundTrip[T any](t *testing.T, v *T) *T {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	out := new(T)
+	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // runPlan executes every spec of a plan in order and returns the merged
 // refs and labels.
 func runPlan(t *testing.T, specs []EnumSpec) (refs []pairRef, labels []bool) {
@@ -88,9 +106,7 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 		for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 			name := fmt.Sprintf("maxPairs=%d seed=%d shards=%d", tc.maxPairs, tc.seed, nShards)
 			specs := PlanEnumShards(log, features.Level3, q, q.Despite, tc.maxPairs, nShards, pairSeed)
-			if len(specs) != nShards {
-				t.Fatalf("%s: planned %d specs", name, len(specs))
-			}
+			checkNoEmptySpecs(t, name, len(specs), nShards, func(i int) []EnumGroup { return specs[i].Groups })
 			refs, labels := runPlan(t, specs)
 
 			// Union equals the serial pair set, in serial order, with
@@ -115,10 +131,25 @@ func TestPlanEnumShardsPartitionsSerialWalk(t *testing.T) {
 	}
 }
 
+// checkNoEmptySpecs pins the planners' shard-count cap: between one and
+// nShards specs, none of them without groups.
+func checkNoEmptySpecs(t *testing.T, name string, n, nShards int, groups func(i int) []EnumGroup) {
+	t.Helper()
+	if n == 0 || n > nShards {
+		t.Fatalf("%s: planned %d specs for %d shards", name, n, nShards)
+	}
+	for i := 0; i < n; i++ {
+		if len(groups(i)) == 0 {
+			t.Fatalf("%s: spec %d of %d is empty", name, i, n)
+		}
+	}
+}
+
 // TestPlanEnumShardsInvariance pins that planning is a pure function of
 // the record list: rebuilding the memoized columnar view does not change
-// the plan, and a snapshot plan keeps producing the same pairs after the
-// source log grows (specs are self-contained copies).
+// the plan, and a plan keeps producing the same pairs after the source
+// log grows (specs pin the planned generation's view, in process and on
+// the wire alike).
 func TestPlanEnumShardsInvariance(t *testing.T) {
 	log := groupedLog(60, rand.New(rand.NewSource(5)))
 	q := blockedQuery()
@@ -145,7 +176,15 @@ func TestPlanEnumShardsInvariance(t *testing.T) {
 	log.Columns() // rebuild the memo at the new count
 	refsAgain, labelsAgain := runPlan(t, p1)
 	if !reflect.DeepEqual(refsAgain, refs1) || !reflect.DeepEqual(labelsAgain, labels1) {
-		t.Error("snapshot plan output changed after the source log grew")
+		t.Error("plan output changed after the source log grew")
+	}
+	shipped := make([]EnumSpec, len(p1))
+	for i := range p1 {
+		shipped[i] = *roundTrip(t, p1[i].Wire())
+	}
+	refsWire, labelsWire := runPlan(t, shipped)
+	if !reflect.DeepEqual(refsWire, refs1) || !reflect.DeepEqual(labelsWire, labels1) {
+		t.Error("shipped plan output changed after the source log grew")
 	}
 
 	d := features.NewDeriver(log.Schema, features.Level3)
@@ -179,8 +218,8 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 			for _, nShards := range []int{1, 2, 3, 7, 16, 64} {
 				name := fmt.Sprintf("x=%d maxPairs=%d shards=%d", xi, maxPairs, nShards)
 				specs := PlanEvalShards(log, features.Level3, q, x, maxPairs, nShards, stats.DeriveSeed(3, "evaluate"))
-				if len(specs) != nShards {
-					t.Fatalf("%s: planned %d specs", name, len(specs))
+				if serialErr == nil {
+					checkNoEmptySpecs(t, name, len(specs), nShards, func(i int) []EnumGroup { return specs[i].Groups })
 				}
 				var context, exp, bec, obsGivenBec int
 				for si := range specs {
@@ -207,7 +246,7 @@ func TestPlanEvalShardsMatchesSerial(t *testing.T) {
 
 // TestPlanEvalShardsSharedRunner pins the public entry point: the
 // sharded evaluation through a runner equals the serial metrics, and a
-// nil runner falls back to the in-process walk.
+// nil runner selects the in-process walk.
 func TestPlanEvalShardsSharedRunner(t *testing.T) {
 	log := groupedLog(60, rand.New(rand.NewSource(6)))
 	q := blockedQuery()
@@ -216,14 +255,15 @@ func TestPlanEvalShardsSharedRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, err := EvaluateExplanationSharded(log, features.Level3, q, x, 400, 9, 4, nil)
+	ctx := context.Background()
+	viaNil, err := EvaluateExplanationCtx(ctx, log, features.Level3, q, x, 400, 9, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaNil != serial {
 		t.Errorf("nil-runner fallback %+v differs from serial %+v", viaNil, serial)
 	}
-	viaRunner, err := EvaluateExplanationSharded(log, features.Level3, q, x, 400, 9, 4, serialEvalRunner{})
+	viaRunner, err := EvaluateExplanationCtx(ctx, log, features.Level3, q, x, 400, 9, 0, 4, serialEvalRunner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +328,8 @@ func (serialEvalRunner) RunEval(specs []EvalSpec) ([]EvalResult, error) {
 // TestLogSliceHashStability pins the content-address: equal content
 // hashes equal, any mutation — record value, intern entry, field name —
 // changes the hash, and the planners actually share one hash across the
-// specs of a round (the property the cache's savings depend on).
+// specs of a round and across plans (the property the cache's savings
+// depend on): a flat log ships as one slice hashed like its wire form.
 func TestLogSliceHashStability(t *testing.T) {
 	log := groupedLog(30, rand.New(rand.NewSource(12)))
 	intern := log.Columns().Intern().Strings()
@@ -309,43 +350,55 @@ func TestLogSliceHashStability(t *testing.T) {
 
 	q := blockedQuery()
 	x := &Explanation{}
+	want := joblog.HashSlice(log.Wire(), nil)
 	specs := PlanEvalShards(log, features.Level3, q, x, 0, 4, 7)
-	again := PlanEvalShards(log, features.Level3, q, x, 0, 4, 7)
+	again := PlanEnumShards(log, features.Level3, q, q.Despite, 0, 3, 7)
 	for si := range specs {
-		if specs[si].Slice.Hash != again[si].Slice.Hash {
-			t.Errorf("eval spec %d hash unstable across plans", si)
+		if ss := specs[si].Wire().Slices; len(ss) != 1 || ss[0].Hash != want {
+			t.Errorf("eval spec %d ships %d slices, want one hashed %.12s", si, len(ss), want)
+		}
+	}
+	for si := range again {
+		if ss := again[si].Wire().Slices; len(ss) != 1 || ss[0].Hash != want {
+			t.Errorf("enum spec %d ships %d slices, want one hashed %.12s", si, len(ss), want)
 		}
 	}
 }
 
 // TestPlanEnumShardsEmptyAndStraddling pins the two planner edge cases
-// the equivalence suite relies on: more shards than outer units yields
-// empty specs that execute to empty results, and a group larger than
-// the per-shard unit budget appears in several specs with disjoint,
-// covering outer ranges.
+// the equivalence suite relies on: more shards than outer units plans
+// one spec per unit and no empty spec (the merged output still equals
+// the serial walk), and a group larger than the per-shard unit budget
+// appears in several specs with disjoint, covering outer ranges.
 func TestPlanEnumShardsEmptyAndStraddling(t *testing.T) {
 	log := groupedLog(40, rand.New(rand.NewSource(8)))
 	q := blockedQuery()
 	specs := PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 17)
+	groups, _ := blockedGroups(log, q.Despite, 0)
+	units := 0
+	for _, g := range groups {
+		units += len(g)
+	}
+	if units >= 64 {
+		t.Fatalf("fixture has %d outer units; need fewer than 64", units)
+	}
+	if len(specs) != units {
+		t.Errorf("planned %d specs for %d outer units", len(specs), units)
+	}
+	checkNoEmptySpecs(t, "64 shards", len(specs), 64, func(i int) []EnumGroup { return specs[i].Groups })
+	serial := enumerateRelated(log, features.NewDeriver(log.Schema, features.Level3), q, q.Despite, 0, 17, 1)
+	if refs, labels := runPlan(t, specs); !reflect.DeepEqual(refs, serial.refs) || !reflect.DeepEqual(labels, serial.labels) {
+		t.Errorf("64-way plan output differs from the serial walk (%d pairs vs %d)", len(refs), len(serial.refs))
+	}
 
-	empties := 0
 	ranges := make(map[string][][2]int) // group fingerprint -> outer ranges
 	sizes := make(map[string]int)
 	for _, s := range specs {
-		if len(s.Groups) == 0 {
-			empties++
-			if res, err := s.Run(); err != nil || len(res.RefA) != 0 {
-				t.Fatalf("empty spec: res=%v err=%v", res, err)
-			}
-		}
 		for _, g := range s.Groups {
-			key := fmt.Sprint(s.Global[g.Members[0]])
+			key := fmt.Sprint(g.Members[0])
 			ranges[key] = append(ranges[key], [2]int{g.Lo, g.Hi})
 			sizes[key] = len(g.Members)
 		}
-	}
-	if empties == 0 {
-		t.Error("expected empty specs at 64 shards")
 	}
 	straddled := false
 	for key, rs := range ranges {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -23,10 +24,8 @@ var DefaultWidths = []int{0, 1, 2, 3, 4, 5}
 // exact: shard counts sum to the serial totals, so tables are
 // byte-identical with and without a runner.
 func (h *Harness) evaluate(test *joblog.Log, q *pxql.Query, x *core.Explanation, seed int64, workers int) (core.Metrics, error) {
-	if runner := h.shardRunner(workers); runner != nil {
-		return core.EvaluateExplanationSharded(test, features.Level3, q, x, h.MaxPairs, seed, h.Shards, runner)
-	}
-	return core.EvaluateExplanationP(test, features.Level3, q, x, h.MaxPairs, seed, workers)
+	return core.EvaluateExplanationCtx(context.Background(), test, features.Level3, q, x, h.MaxPairs, seed,
+		workers, h.Shards, h.shardRunner(workers))
 }
 
 // repRows allocates one result row per repetition for each technique;

@@ -125,6 +125,10 @@ type Columns struct {
 	// a tail scan (see eqrows.go). Called only with resolved keys.
 	buildEqRows func(key eqRowsKey) Bitmap
 
+	// segs holds a snapshot's segment views (see Log.Segments); nil for
+	// views built from a flat log.
+	segs []SegmentView
+
 	memoMu sync.Mutex
 	memos  map[any]any
 }

@@ -263,6 +263,12 @@ func (sn *Snapshot) Log() *Log { return sn.log }
 // mutate the result.
 func (sn *Snapshot) Segments() []SegmentView { return sn.segs }
 
+// Segments returns the shippable segment views of a log assembled by
+// Store.Snapshot, in record order, or nil for a flat log. The views
+// live on the snapshot's columnar view, so a snapshot log mutated
+// afterwards (a new generation) reports none.
+func (l *Log) Segments() []SegmentView { return l.Columns().segs }
+
 // Gen returns the watermark the snapshot was taken at.
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
@@ -292,11 +298,6 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 	tailStart := len(recs)
 	recs = append(recs, s.tail...)
 
-	log := &Log{Schema: s.schema, Records: recs}
-	log.installColumns(s.assembleColumnsLocked(log, tailStart))
-	domains, ranges := s.mergeStatsLocked()
-	log.installStats(domains, ranges)
-
 	views := make([]SegmentView, 0, len(s.sealed)+1)
 	for _, seg := range s.sealed {
 		views = append(views, SegmentView{Start: seg.start, Hash: seg.hash, Records: seg.wire, Sealed: true})
@@ -305,6 +306,13 @@ func (s *Store) buildSnapshotLocked() *Snapshot {
 		wire := WireSlice(s.schema, s.tail)
 		views = append(views, SegmentView{Start: tailStart, Hash: HashSlice(wire, nil), Records: wire})
 	}
+
+	log := &Log{Schema: s.schema, Records: recs}
+	cols := s.assembleColumnsLocked(log, tailStart)
+	cols.segs = views
+	log.installColumns(cols)
+	domains, ranges := s.mergeStatsLocked()
+	log.installStats(domains, ranges)
 	return &Snapshot{log: log, segs: views, gen: s.gen}
 }
 

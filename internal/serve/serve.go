@@ -59,12 +59,18 @@ type Config struct {
 	CacheSize int
 }
 
+// MaxBodyBytes bounds every request body. A larger body fails with 413
+// (Request Entity Too Large) while it is read, before it can grow the
+// server's memory, and an oversized ingest appends nothing.
+const MaxBodyBytes = 64 << 20
+
 // Server answers PXQL explanation queries over a resident store.
 type Server struct {
-	cfg   Config
-	mux   *http.ServeMux
-	adm   *admission
-	cache *expCache
+	cfg     Config
+	mux     *http.ServeMux
+	adm     *admission
+	cache   *expCache
+	maxBody int64 // MaxBodyBytes; tests shrink it
 
 	storeMu sync.Mutex
 	store   *perfxplain.Store
@@ -85,10 +91,11 @@ func NewServer(cfg Config) *Server {
 		cfg.MaxTimeout = 5 * time.Minute
 	}
 	s := &Server{
-		cfg:   cfg,
-		adm:   newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		cache: newExpCache(cfg.CacheSize),
-		store: cfg.Store,
+		cfg:     cfg,
+		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		cache:   newExpCache(cfg.CacheSize),
+		maxBody: MaxBodyBytes,
+		store:   cfg.Store,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/explain", s.handleExplain)
@@ -103,8 +110,11 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler, capping the request body.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	s.mux.ServeHTTP(w, r)
+}
 
 // Computations returns the number of explanation-engine runs the server
 // has executed (cache hits and collapsed herd followers excluded).
@@ -116,20 +126,27 @@ type badRequest struct{ err error }
 
 func (e badRequest) Error() string { return e.err.Error() }
 
+// Unwrap exposes the cause, so an oversized body read while decoding
+// still maps to 413.
+func (e badRequest) Unwrap() error { return e.err }
+
 func badRequestf(format string, args ...any) error {
 	return badRequest{fmt.Errorf(format, args...)}
 }
 
 // httpStatus maps a pipeline error to its response code: 429 for
-// admission rejection, 504 for deadline/cancellation, 400 for client
-// errors, 500 otherwise.
+// admission rejection, 504 for deadline/cancellation, 413 for an
+// oversized body, 400 for client errors, 500 otherwise.
 func httpStatus(err error) int {
 	var br badRequest
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.Is(err, errBusy):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.As(err, &br):
 		return http.StatusBadRequest
 	default:
@@ -276,7 +293,9 @@ func (s *Server) mergeOptions(req *ExplainRequest) perfxplain.Options {
 // fingerprint digests the semantic knobs — exactly the fields that can
 // change the answer's bytes. Parallelism, shard count and pool choice
 // are deliberately absent: the engine is byte-identical across them, so
-// including them would only split the cache.
+// including them would only split the cache. TestFingerprintCoversOptions
+// fails on any Options field that is neither digested here nor on its
+// runtime-only list.
 func fingerprint(opt perfxplain.Options, find, genDespite bool) string {
 	return fmt.Sprintf("w%d dw%d ss%d mp%d lvl%d sm%q sb%d sp%g seed%d tgt%q div%v find%v gd%v",
 		opt.Width, opt.DespiteWidth, opt.SampleSize, opt.MaxPairs, opt.FeatureLevel,

@@ -38,12 +38,8 @@ func TestBenchSegmentJSON(t *testing.T) {
 	runEnum := func(snap *joblog.Snapshot) int {
 		t.Helper()
 		log := snap.Log()
-		layout, err := core.NewSegmentLayout(snap.Segments())
-		if err != nil {
-			t.Fatal(err)
-		}
 		q := equivQuery(t, log)
-		specs := core.PlanEnumShardsOver(layout, log, features.Level3, q, q.Despite, 0, 4, 12345)
+		specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 4, 12345)
 		results, err := pool.RunEnum(specs)
 		if err != nil {
 			t.Fatal(err)

@@ -1,18 +1,20 @@
 package shard_test
 
 // The distributed-vs-local equivalence suite: every execution mode of
-// the pair pipeline — direct (no runner), in-process shards, and
-// subprocess workers over the gob pipe protocol — must produce
-// byte-identical explanations, atom details and metrics at every shard
-// count. The cases deliberately include a blocking group large enough to
-// straddle shard boundaries at small shard counts and a log small
-// enough that high shard counts plan empty shards.
+// the pair pipeline — direct (no runner), in-process shards reading the
+// log by reference, and workers over the frame protocol (subprocess
+// pipes, channels, sockets) — must produce byte-identical explanations,
+// atom details and metrics at every shard count. The cases deliberately
+// include a blocking group large enough to straddle shard boundaries at
+// small shard counts and a log small enough that high shard counts
+// exceed its outer units.
 //
 // Subprocess workers are this test binary re-executed with
 // PXQL_SHARD_WORKER=1 (see TestMain in worker_main_test.go).
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -115,7 +117,7 @@ EXPECTED duration_compare = SIM`)
 // render dumps every user-visible facet of an explanation plus its
 // held-out metrics with full float precision. With a runner, the
 // metrics run through the sharded evaluation walk — so comparing a
-// sharded render against the serial one pins EvaluateExplanation's
+// sharded render against the serial one pins the evaluation's
 // distributed path too.
 func render(t *testing.T, log *joblog.Log, q *pxql.Query, x *core.Explanation,
 	shards int, runner core.ShardRunner) string {
@@ -127,13 +129,7 @@ func render(t *testing.T, log *joblog.Log, q *pxql.Query, x *core.Explanation,
 	for i, a := range x.Atoms {
 		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
 	}
-	var m core.Metrics
-	var err error
-	if runner != nil {
-		m, err = core.EvaluateExplanationSharded(log, features.Level3, q, x, 0, 7, shards, runner)
-	} else {
-		m, err = core.EvaluateExplanation(log, features.Level3, q, x, 0, 7)
-	}
+	m, err := core.EvaluateExplanationCtx(context.Background(), log, features.Level3, q, x, 0, 7, 0, shards, runner)
 	if err != nil {
 		t.Fatalf("evaluate: %v", err)
 	}
@@ -209,21 +205,21 @@ func TestEquivalenceSubprocess(t *testing.T) {
 	}
 }
 
-// TestEquivalenceEmptyShards pins the empty-shard case: a log whose
-// despite context has fewer outer units than the shard count, so
-// trailing specs carry no groups — in both execution modes.
+// TestEquivalenceEmptyShards pins the over-sharded case: a log whose
+// despite context has fewer outer units than the shard count plans one
+// spec per unit and no empty spec, and the merged output is
+// byte-identical in both execution modes.
 func TestEquivalenceEmptyShards(t *testing.T) {
 	log := equivLog(14) // big group ~9 records, others tiny
 	q := equivQuery(t, log)
 	specs := core.PlanEnumShards(log, features.Level3, q, q.Despite, 0, 64, 123)
-	empty := 0
-	for _, s := range specs {
-		if len(s.Groups) == 0 {
-			empty++
-		}
+	if len(specs) == 0 || len(specs) >= 64 {
+		t.Fatalf("64-way plan of a %d-record log has %d specs; want one per outer unit", log.Len(), len(specs))
 	}
-	if empty == 0 {
-		t.Fatalf("expected empty shards in a 64-way plan of a %d-record log", log.Len())
+	for i, s := range specs {
+		if len(s.Groups) == 0 {
+			t.Fatalf("spec %d of %d is empty", i, len(specs))
+		}
 	}
 	want := explainWith(t, log, q, 0, nil)
 	if got := explainWith(t, log, q, 64, shard.InProc{}); got != want {
@@ -244,7 +240,7 @@ func TestEquivalenceStraddlingGroup(t *testing.T) {
 	seen := map[int]int{} // group fingerprint (first global member) -> spec count
 	for _, s := range specs {
 		for _, g := range s.Groups {
-			seen[s.Global[g.Members[0]]]++
+			seen[g.Members[0]]++
 		}
 	}
 	straddles := false

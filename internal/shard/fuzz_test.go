@@ -2,10 +2,13 @@ package shard_test
 
 // FuzzShardCodec pins the two safety properties of the shard protocol:
 //
-//  1. Lossless round-trips: a planned spec — log slice, interned symbol
-//     table, compiled-predicate spec, splitmix counter ranges — survives
-//     gob (the pipe encoding) and JSON (the debug encoding) unchanged,
-//     and the decoded spec executes to exactly the original's result.
+//  1. Lossless round-trips: a planned spec's wire form — log slices,
+//     compiled-predicate specs, splitmix counter ranges — survives gob
+//     (the pipe encoding) and JSON (the debug encoding) unchanged, and
+//     both the decoded spec and a worker serving its task frame (the
+//     wire path) reproduce exactly what the planned spec computes when
+//     run in process against the coordinator's log (the by-reference
+//     path).
 //  2. No panics on corrupt input: arbitrary bytes, and valid frames with
 //     fuzzer-chosen corruption, go through the full worker loop without
 //     panicking — failures surface as transport errors or in-band task
@@ -17,6 +20,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -147,6 +151,41 @@ func roundTripJSON[T any](t *testing.T, v *T) {
 	}
 }
 
+// workerRoundTrip serves one task frame through the full worker loop
+// and returns its decoded result.
+func workerRoundTrip(t *testing.T, task *shard.Task) *shard.Result {
+	t.Helper()
+	var out bytes.Buffer
+	if err := shard.Worker(bytes.NewReader(gobBytes(t, task)), &out); err != nil {
+		t.Fatalf("worker loop: %v", err)
+	}
+	res := new(shard.Result)
+	if err := gob.NewDecoder(&out).Decode(res); err != nil {
+		t.Fatalf("decode worker result: %v", err)
+	}
+	return res
+}
+
+// sameOutcome fails unless the by-reference run (want, wantErr) and a
+// wire-path run (got, gotErr) agree: both error, or equal gob bytes.
+func sameOutcome(t *testing.T, what string, want any, wantErr error, got any, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error mismatch: by-reference %v vs wire %v", what, wantErr, gotErr)
+	}
+	if wantErr == nil && !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
+		t.Fatalf("%s: result differs:\n%#v\nvs\n%#v", what, want, got)
+	}
+}
+
+// taskErr turns a worker result's in-band error into an error value.
+func taskErr(res *shard.Result) error {
+	if res.Err != "" {
+		return errors.New(res.Err)
+	}
+	return nil
+}
+
 func FuzzShardCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -173,46 +212,40 @@ func FuzzShardCodec(f *testing.F) {
 			1+d.intn(64), 1+d.intn(5), uint64(d.next()))
 
 		for si := range specs {
-			spec := &specs[si]
-			want, wantErr := spec.Run()
+			want, wantErr := specs[si].Run()
 
-			// Property 1: gob and JSON round-trips are lossless, and the
-			// decoded spec reproduces the original's execution exactly.
-			dec := roundTripGob(t, spec)
-			roundTripJSON(t, spec)
+			// Property 1: gob and JSON round-trips of the wire form are
+			// lossless, and the decoded spec and the worker loop both
+			// reproduce the by-reference execution exactly.
+			wire := specs[si].Wire()
+			dec := roundTripGob(t, wire)
+			roundTripJSON(t, wire)
 			got, gotErr := dec.Run()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("decoded spec error mismatch: %v vs %v", wantErr, gotErr)
-			}
-			if wantErr == nil && !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-				t.Fatalf("decoded spec result differs:\n%#v\nvs\n%#v", want, got)
-			}
+			sameOutcome(t, "decoded enum spec", want, wantErr, got, gotErr)
+			res := workerRoundTrip(t, &shard.Task{Version: shard.Version, Seq: si, Enum: wire})
+			sameOutcome(t, "worker enum task", want, wantErr, res.Enum, taskErr(res))
 			if wantErr == nil && !reflect.DeepEqual(want.Labels, got.Labels) {
 				t.Fatalf("decoded spec labels differ")
 			}
 		}
 
-		// Evaluation shards: gob/JSON-lossless, and the decoded spec
-		// reproduces the original's counts — including through the
+		// Evaluation shards: the same three-way agreement, plus the
 		// reference/cache path a worker would take.
 		x := &core.Explanation{Despite: d.fuzzPredicate(dr), Because: d.fuzzPredicate(dr)}
 		evalSpecs := core.PlanEvalShards(log, features.Level3, q, x, 1+d.intn(64), 1+d.intn(4), uint64(d.next()))
 		for si := range evalSpecs {
-			spec := &evalSpecs[si]
-			want, wantErr := spec.Run()
-			dec := roundTripGob(t, spec)
-			roundTripJSON(t, spec)
+			want, wantErr := evalSpecs[si].Run()
+			wire := evalSpecs[si].Wire()
+			dec := roundTripGob(t, wire)
+			roundTripJSON(t, wire)
 			got, gotErr := dec.Run()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("decoded eval spec error mismatch: %v vs %v", wantErr, gotErr)
-			}
-			if wantErr == nil && *want != *got {
-				t.Fatalf("decoded eval spec counts differ: %+v vs %+v", want, got)
-			}
+			sameOutcome(t, "decoded eval spec", want, wantErr, got, gotErr)
+			res := workerRoundTrip(t, &shard.Task{Version: shard.Version, Seq: si, Eval: wire})
+			sameOutcome(t, "worker eval task", want, wantErr, res.Eval, taskErr(res))
 			// A reference frame without a cached payload must error, not
 			// panic or fabricate counts.
-			ref := *spec
-			ref.Slice = ref.Slice.AsRef()
+			ref := *wire
+			ref.Slices = []core.LogSlice{wire.Slices[0].AsRef()}
 			if _, err := ref.Run(); err == nil {
 				t.Fatalf("reference slice without cache executed")
 			}
@@ -241,7 +274,10 @@ func FuzzShardCodec(f *testing.F) {
 
 		// Property 2b: a valid frame with fuzzer-chosen corruption — no
 		// panic anywhere in decode or execution; errors are fine.
-		task := shard.Task{Version: shard.Version, Seq: 1, Enum: &specs[0]}
+		if len(specs) == 0 {
+			return
+		}
+		task := shard.Task{Version: shard.Version, Seq: 1, Enum: specs[0].Wire()}
 		frame := gobBytes(t, &task)
 		if len(frame) > 0 {
 			i := d.intn(len(frame))

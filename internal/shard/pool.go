@@ -365,7 +365,7 @@ func (p *Pool) do(tasks []Task) ([]Result, error) {
 func (p *Pool) RunEnum(specs []core.EnumSpec) ([]core.EnumResult, error) {
 	tasks := make([]Task, len(specs))
 	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Enum: &specs[i]}
+		tasks[i] = Task{Version: Version, Seq: i, Enum: specs[i].Wire()}
 	}
 	results, err := p.do(tasks)
 	if err != nil {
@@ -425,7 +425,7 @@ func (p *Pool) RunScore(specs []core.ScoreSpec) ([]core.ScoreResult, error) {
 func (p *Pool) RunEval(specs []core.EvalSpec) ([]core.EvalResult, error) {
 	tasks := make([]Task, len(specs))
 	for i := range specs {
-		tasks[i] = Task{Version: Version, Seq: i, Eval: &specs[i]}
+		tasks[i] = Task{Version: Version, Seq: i, Eval: specs[i].Wire()}
 	}
 	results, err := p.do(tasks)
 	if err != nil {

@@ -48,15 +48,10 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	}
 
 	const workers = 2
-	specs := core.PlanEvalShards(log, features.Level3, q, x, 0, 6, 123)
-	seen := map[string]bool{}
-	var slices []core.LogSlice
-	for i := range specs {
-		if h := specs[i].Slice.Hash; h != "" && !seen[h] {
-			seen[h] = true
-			slices = append(slices, specs[i].Slice)
-		}
-	}
+	// A segmented snapshot: every spec ships the same several slices.
+	snapLog := segmentedOver(t, log, 13)
+	specs := core.PlanEvalShards(snapLog, features.Level3, q, x, 0, 6, 123)
+	slices := core.LayoutOf(snapLog).Slices()
 	if len(slices) < 2 {
 		t.Fatalf("fixture planned %d distinct slices; need several", len(slices))
 	}
@@ -83,8 +78,8 @@ func TestPrefetchSlicesWarmsWorkers(t *testing.T) {
 	if s.SliceMisses != 0 {
 		t.Errorf("tasks re-shipped %d payloads despite a complete prefetch", s.SliceMisses)
 	}
-	if s.SliceHits != int64(len(specs)) {
-		t.Errorf("slice hits = %d, want one per spec (%d)", s.SliceHits, len(specs))
+	if want := int64(len(specs) * len(slices)); s.SliceHits != want {
+		t.Errorf("slice hits = %d, want one per slice per spec (%d)", s.SliceHits, want)
 	}
 	// Each prefetched (worker, slice) mark converts to at most one hit,
 	// on that worker's first task referencing it; dynamic scheduling

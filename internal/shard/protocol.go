@@ -12,9 +12,11 @@ package shard
 // a corrupt or malicious frame produces an error result, never a panic
 // (FuzzShardCodec pins this).
 //
-// Specs that carry a content-addressed log slice (Mat, Score, Eval) may
-// arrive as references: the slice's hash without its payload, when the
-// coordinator knows it already shipped the payload on this connection.
+// Every spec carries content-addressed log slices — the log's segment
+// slices (Enum, Eval) or the training sample's slice (Mat, Score) —
+// and any of them may arrive as references: the slice's hash without
+// its payload, when the coordinator knows it already shipped the
+// payload on this connection.
 // A worker that no longer holds the slice (cache eviction) answers with
 // CacheMiss, and the coordinator re-ships the full frame — so caching
 // changes bytes on the wire, never results.
@@ -45,9 +47,13 @@ import (
 // EvalSpec.Slices) — a spec may carry the per-segment hashed slices of
 // a watermark snapshot, each independently cacheable and strippable to
 // a reference.
-const Version = 5
+// Version 6: one planner — enumeration and evaluation specs always
+// carry the log's segment slices (a flat log is one segment) and
+// address records globally; the per-shard record cuts (EnumSpec.Log,
+// EnumSpec.Global, EvalSpec.Slice, EvalSpec.Global) are gone.
+const Version = 6
 
-//pxql:wirehash a8a230bd3147c114 v=5
+//pxql:wirehash a8a230bd3147c114 v=6
 
 // Task is one request frame: exactly one spec pointer is set — or
 // Prefetch alone, a payload-only frame that warms the worker's
@@ -68,43 +74,31 @@ type Task struct {
 }
 
 // slices returns the task's content-addressed log slices, in order:
-// the per-segment slices of a segmented enum/eval spec, the single
-// sample slice of mat/score/eval specs, nil for specs that ship
-// payloads inline (static enumeration slices are disjoint per spec —
-// nothing to cache).
+// the segment slices of an enum/eval spec, the sample slice of a
+// mat/score spec.
 func (t *Task) slices() []*core.LogSlice {
-	many := func(ss []core.LogSlice) []*core.LogSlice {
-		out := make([]*core.LogSlice, len(ss))
-		for i := range ss {
-			out[i] = &ss[i]
-		}
-		return out
-	}
+	var ss []core.LogSlice
 	switch {
 	case t.Enum != nil:
-		if len(t.Enum.Slices) > 0 {
-			return many(t.Enum.Slices)
-		}
+		ss = t.Enum.Slices
+	case t.Eval != nil:
+		ss = t.Eval.Slices
 	case t.Mat != nil:
 		return []*core.LogSlice{&t.Mat.Slice}
 	case t.Score != nil:
 		return []*core.LogSlice{&t.Score.Slice}
-	case t.Eval != nil:
-		if len(t.Eval.Slices) > 0 {
-			return many(t.Eval.Slices)
-		}
-		return []*core.LogSlice{&t.Eval.Slice}
 	}
-	return nil
+	out := make([]*core.LogSlice, len(ss))
+	for i := range ss {
+		out[i] = &ss[i]
+	}
+	return out
 }
 
 // combined reports whether the task's slices are segments of one log —
 // the worker concatenates their decoded forms into a single view —
 // rather than one standalone sample slice.
-func (t *Task) combined() bool {
-	return (t.Enum != nil && len(t.Enum.Slices) > 0) ||
-		(t.Eval != nil && len(t.Eval.Slices) > 0)
-}
+func (t *Task) combined() bool { return t.Enum != nil || t.Eval != nil }
 
 // strippedWith returns a copy of the task in which every slice whose
 // hash is in known is replaced by its hash reference — the frame sent
@@ -132,10 +126,14 @@ func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 	}
 	c := *t
 	switch {
-	case t.Enum != nil && len(t.Enum.Slices) > 0:
+	case t.Enum != nil:
 		e := *t.Enum
 		e.Slices = stripAll(e.Slices)
 		c.Enum = &e
+	case t.Eval != nil:
+		e := *t.Eval
+		e.Slices = stripAll(e.Slices)
+		c.Eval = &e
 	case t.Mat != nil:
 		m := *t.Mat
 		m.Slice = strip(m.Slice)
@@ -144,14 +142,6 @@ func (t *Task) strippedWith(known map[string]int) (*Task, []string) {
 		s := *t.Score
 		s.Slice = strip(s.Slice)
 		c.Score = &s
-	case t.Eval != nil:
-		e := *t.Eval
-		if len(e.Slices) > 0 {
-			e.Slices = stripAll(e.Slices)
-		} else {
-			e.Slice = strip(e.Slice)
-		}
-		c.Eval = &e
 	}
 	return &c, refd
 }

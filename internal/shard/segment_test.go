@@ -1,79 +1,32 @@
 package shard_test
 
-// Segmented-layout equivalence through real worker pools: specs that
-// ship per-segment hashed slices instead of a per-shard record cut must
-// reproduce the serial static-log explanation byte for byte on every
-// transport, and — the point of sealing — appends must leave sealed
-// segments warm in worker caches so only new slices re-ship.
+// Segmented-layout equivalence through real worker pools: specs over a
+// store snapshot, which ship its per-segment hashed slices, must
+// reproduce the direct flat-log explanation byte for byte in process
+// and on every transport, and — the point of sealing — appends must
+// leave sealed segments warm in worker caches so only new slices
+// re-ship.
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
-	"perfxplain/internal/core"
-	"perfxplain/internal/features"
 	"perfxplain/internal/joblog"
-	"perfxplain/internal/pxql"
 	"perfxplain/internal/shard"
 )
 
 // segmentedOver replays a log through a segment store and returns the
-// snapshot's log plus its shard layout.
-func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) (*joblog.Log, *core.SegmentLayout) {
+// snapshot's log, which carries its segment layout.
+func segmentedOver(t *testing.T, log *joblog.Log, sealEvery int) *joblog.Log {
 	t.Helper()
 	st := joblog.NewStore(log.Schema, sealEvery)
 	for _, r := range log.Records {
 		st.MustAppend(r)
 	}
-	snap := st.Snapshot()
-	layout, err := core.NewSegmentLayout(snap.Segments())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap.Log(), layout
-}
-
-// explainSegmented mirrors explainWith, but configures the explainer
-// with a segment layout and routes held-out metrics through the
-// layout-aware evaluation walk.
-func explainSegmented(t *testing.T, log *joblog.Log, layout *core.SegmentLayout,
-	q *pxql.Query, shards int, runner core.ShardRunner) string {
-	t.Helper()
-	ex, err := core.NewExplainer(log, core.Config{
-		Width:       3,
-		Seed:        7,
-		SampleSize:  400,
-		Shards:      shards,
-		Runner:      runner,
-		Parallelism: 4,
-		Layout:      layout,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ex.ExplainWithDespite(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", x)
-	fmt.Fprintf(&b, "train: precision=%v generality=%v relevance=%v sample=%d related=%d\n",
-		x.TrainPrecision, x.TrainGenerality, x.TrainRelevance, x.SampleSize, x.RelatedPairs)
-	for i, a := range x.Atoms {
-		fmt.Fprintf(&b, "atom[%d]: %s precision=%v generality=%v\n", i, a.Atom, a.Precision, a.Generality)
-	}
-	m, err := core.EvaluateExplanationShardedOver(layout, log, features.Level3, q, x, 0, 7, shards, runner)
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	fmt.Fprintf(&b, "metrics: relevance=%v precision=%v generality=%v context=%d because=%d\n",
-		m.Relevance, m.Precision, m.Generality, m.ContextPairs, m.BecausePairs)
-	return b.String()
+	return st.Snapshot().Log()
 }
 
 // TestEquivalenceSegmentedInProcess pins that segmented plans match the
-// serial static-log path at several seal thresholds — including ones
+// direct flat-log path at several seal thresholds — including ones
 // that split the dominant blocking group across segments — and shard
 // counts.
 func TestEquivalenceSegmentedInProcess(t *testing.T) {
@@ -81,9 +34,9 @@ func TestEquivalenceSegmentedInProcess(t *testing.T) {
 	q := equivQuery(t, log)
 	want := explainWith(t, log, q, 0, nil)
 	for _, sealEvery := range []int{13, 40} {
-		snapLog, layout := segmentedOver(t, log, sealEvery)
+		snapLog := segmentedOver(t, log, sealEvery)
 		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, layout, q, n, shard.InProc{Workers: 4})
+			got := explainWith(t, snapLog, q, n, shard.InProc{Workers: 4})
 			if got != want {
 				t.Errorf("segmented seal=%d shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 					sealEvery, n, got, want)
@@ -98,10 +51,10 @@ func TestEquivalenceSegmentedSubprocess(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
 	want := explainWith(t, log, q, 0, nil)
-	snapLog, layout := segmentedOver(t, log, 13)
+	snapLog := segmentedOver(t, log, 13)
 	pool := workerPool(t, 3)
 	for _, n := range []int{1, 2, 7} {
-		got := explainSegmented(t, snapLog, layout, q, n, pool)
+		got := explainWith(t, snapLog, q, n, pool)
 		if got != want {
 			t.Errorf("segmented subprocess shards=%d diverges from serial:\n--- got ---\n%s--- want ---\n%s",
 				n, got, want)
@@ -116,12 +69,12 @@ func TestEquivalenceSegmentedChanTransport(t *testing.T) {
 	log := equivLog(60)
 	q := equivQuery(t, log)
 	want := explainWith(t, log, q, 0, nil)
-	snapLog, layout := segmentedOver(t, log, 13)
+	snapLog := segmentedOver(t, log, 13)
 	pool := &shard.Pool{Dialer: shard.InProcDialer{}, Workers: 3}
 	t.Cleanup(pool.Close)
 	for pass, label := range []string{"cold", "warm"} {
 		for _, n := range []int{1, 2, 7} {
-			got := explainSegmented(t, snapLog, layout, q, n, pool)
+			got := explainWith(t, snapLog, q, n, pool)
 			if got != want {
 				t.Errorf("segmented chan shards=%d (%s) diverges:\n--- got ---\n%s--- want ---\n%s",
 					n, label, got, want)
@@ -151,13 +104,9 @@ func TestSegmentedWarmCacheAcrossAppends(t *testing.T) {
 	explainAt := func(snap *joblog.Snapshot) {
 		t.Helper()
 		log := snap.Log()
-		layout, err := core.NewSegmentLayout(snap.Segments())
-		if err != nil {
-			t.Fatal(err)
-		}
 		q := equivQuery(t, log)
 		want := explainWith(t, log, q, 0, nil)
-		if got := explainSegmented(t, log, layout, q, 2, pool); got != want {
+		if got := explainWith(t, log, q, 2, pool); got != want {
 			t.Fatalf("segmented explanation at watermark %d diverges:\n--- got ---\n%s--- want ---\n%s",
 				snap.Len(), got, want)
 		}

@@ -24,7 +24,8 @@ import (
 
 // InProc executes shard specs on this process's worker pool. It is the
 // default runtime: no serialization, no processes — par.Do over the
-// specs, results in spec order.
+// specs, results in spec order. Enumeration and evaluation specs read
+// the coordinator's log by reference, so no slice is ever encoded.
 type InProc struct {
 	// Workers bounds the concurrent specs (<= 0 means GOMAXPROCS).
 	Workers int
@@ -132,44 +133,39 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		}
 		return res
 	}
-	var data *core.SliceData
-	if ss := t.slices(); len(ss) > 0 {
-		datas := make([]*core.SliceData, len(ss))
-		for i, s := range ss {
-			d, miss, err := ws.resolve(s)
-			if miss {
-				// Any evicted segment fails the whole frame: the
-				// coordinator clears its shipped marks for every
-				// reference in it and re-ships in full.
-				res.CacheMiss = true
-				return res
-			}
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			datas[i] = d
+	ss := t.slices()
+	if len(ss) == 0 {
+		res.Err = "shard: task carries no spec or no log slice"
+		return res
+	}
+	datas := make([]*core.SliceData, len(ss))
+	for i, s := range ss {
+		d, miss, err := ws.resolve(s)
+		if miss {
+			// Any evicted segment fails the whole frame: the coordinator
+			// clears its shipped marks for every reference in it and
+			// re-ships in full.
+			res.CacheMiss = true
+			return res
 		}
-		if t.combined() {
-			d, err := ws.combine(ss, datas)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			data = d
-		} else {
-			data = datas[0]
+		if err != nil {
+			res.Err = err.Error()
+			return res
 		}
+		datas[i] = d
+	}
+	data := datas[0]
+	if t.combined() {
+		d, err := ws.combine(ss, datas)
+		if err != nil {
+			res.Err = err.Error()
+			return res
+		}
+		data = d
 	}
 	switch {
 	case t.Enum != nil:
-		var r *core.EnumResult
-		var err error
-		if data != nil {
-			r, err = t.Enum.RunWith(data)
-		} else {
-			r, err = t.Enum.Run()
-		}
+		r, err := t.Enum.RunWith(data)
 		if err != nil {
 			res.Err = err.Error()
 		} else {
@@ -196,8 +192,6 @@ func (ws *workerState) dispatch(t *Task) *Result {
 		} else {
 			res.Eval = r
 		}
-	default:
-		res.Err = "shard: task carries no spec"
 	}
 	return res
 }

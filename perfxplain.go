@@ -50,25 +50,6 @@ import (
 // averages) and duration.
 type Log struct {
 	l *joblog.Log
-	// segs is set on logs obtained from Store.Snapshot: the watermark's
-	// segment views, which explainers and evaluations use to plan shards
-	// along segment boundaries and ship per-segment hashed slices. Nil
-	// for flat logs (CSV/JSON reads, Collect); results are identical
-	// either way.
-	segs []joblog.SegmentView
-}
-
-// layout resolves the log's segment views into a shard-planning layout;
-// nil for flat logs (the planners then cut the log statically).
-func (l *Log) layout() *core.SegmentLayout {
-	if len(l.segs) == 0 {
-		return nil
-	}
-	lay, err := core.NewSegmentLayout(l.segs)
-	if err != nil {
-		return nil
-	}
-	return lay
 }
 
 // Len returns the number of logged executions.
@@ -260,12 +241,12 @@ func (s *Store) SealedSegments() int { return s.s.SealedSegments() }
 
 // Snapshot returns the store's current contents as a Log: a consistent
 // watermark that later appends never change. The snapshot carries its
-// segment views, so explainers and evaluations built over it plan
-// shards along segment boundaries and ship per-segment hashed slices —
-// explanations are byte-identical to the same records in a flat log.
+// segment views, so shard workers of explainers and evaluations built
+// over it receive one hashed slice per segment — explanations are
+// byte-identical to the same records in a flat log.
 func (s *Store) Snapshot() *Log {
 	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments()}
+	return &Log{l: snap.Log()}
 }
 
 // Watermark returns the store's generation counter: a monotonic value
@@ -282,7 +263,7 @@ func (s *Store) Watermark() uint64 { return s.s.Gen() }
 // indexes and bitmap memos).
 func (s *Store) SnapshotAt() (*Log, uint64) {
 	snap := s.s.Snapshot()
-	return &Log{l: snap.Log(), segs: snap.Segments()}, snap.Gen()
+	return &Log{l: snap.Log()}, snap.Gen()
 }
 
 // LogsFromHistory parses Hadoop-style job-history streams (as written by
@@ -594,16 +575,15 @@ type Explainer struct {
 	pool *shard.Pool // owned; nil for in-process shards and shared pools
 }
 
-// NewExplainer builds an explainer over a job or task log. A log
-// obtained from Store.Snapshot carries its segment views: the explainer
-// then plans shards along segment boundaries and ships per-segment
-// hashed slices, so re-explaining after appends re-ships only the tail.
+// NewExplainer builds an explainer over a job or task log. Shards plan
+// over the log's segment layout: a log obtained from Store.Snapshot
+// ships one hashed slice per segment, so re-explaining after appends
+// re-ships only the new slices; a flat log ships as one slice.
 func NewExplainer(log *Log, opt Options) (*Explainer, error) {
 	cfg, pool, err := opt.coreConfig()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Layout = log.layout()
 	ex, err := core.NewExplainer(log.l, cfg)
 	if err != nil {
 		return nil, err
@@ -623,8 +603,9 @@ func (e *Explainer) Close() {
 }
 
 // ShardStats returns the runtime counters of the explainer's worker
-// pool; ok is false when shards run in-process or on a shared pool
-// (query the WorkerPool directly for those).
+// pool; ok is false when shards run in-process (they read the log by
+// reference and ship nothing) or on a shared pool (query the
+// WorkerPool directly for those).
 func (e *Explainer) ShardStats() (s ShardStats, ok bool) {
 	if e.pool == nil {
 		return ShardStats{}, false
@@ -881,40 +862,30 @@ func Evaluate(log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) 
 // returning ctx.Err() once it is done. Completed metrics are identical
 // to an uncancelled run.
 func EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation, opt Options) (Metrics, error) {
-	maxPairs := opt.MaxPairs
-	if maxPairs == 0 {
-		maxPairs = core.DefaultConfig().MaxPairs
-	}
-	var m core.Metrics
-	var err error
+	var runner core.ShardRunner
 	switch {
-	case opt.Shards > 0 && opt.SharedPool != nil:
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards, opt.SharedPool.p)
-	case opt.Shards > 0 && (len(opt.ShardAddrs) > 0 || opt.ShardWorkers > 0):
+	case opt.Shards <= 0:
+	case opt.SharedPool != nil:
+		runner = opt.SharedPool.p
+	case len(opt.ShardAddrs) > 0 || opt.ShardWorkers > 0:
 		// Shard worker config must never be silently ignored — but a
 		// one-shot Evaluate dialing and tearing down a fleet per call
 		// would hide the cost callers configured workers to avoid.
-		pool, perr := NewWorkerPool(PoolOptions{
+		pool, err := NewWorkerPool(PoolOptions{
 			Workers: opt.ShardWorkers,
 			Command: opt.ShardWorkerCommand,
 			Addrs:   opt.ShardAddrs,
 			Token:   opt.ShardToken,
 		})
-		if perr != nil {
-			return Metrics{}, perr
+		if err != nil {
+			return Metrics{}, err
 		}
 		defer pool.Close()
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards, pool.p)
-	case opt.Shards > 0:
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Shards,
-			shard.InProc{Workers: opt.Parallelism})
+		runner = pool.p
 	default:
-		m, err = core.EvaluateExplanationPCtx(ctx, log.l, features.Level3, q.q, x.x, maxPairs, opt.Seed, opt.Parallelism)
+		runner = shard.InProc{Workers: opt.Parallelism}
 	}
-	if err != nil {
-		return Metrics{}, err
-	}
-	return Metrics{Relevance: m.Relevance, Precision: m.Precision, Generality: m.Generality}, nil
+	return evaluate(ctx, log, q, x, opt.MaxPairs, opt.Seed, opt.Parallelism, opt.Shards, runner)
 }
 
 // Evaluate measures an explanation against a log through this
@@ -929,19 +900,17 @@ func (e *Explainer) Evaluate(log *Log, q *Query, x *Explanation) (Metrics, error
 // EvaluateContext is Evaluate with EvaluateContext's (package-level)
 // cancellation semantics, through this explainer's shard configuration.
 func (e *Explainer) EvaluateContext(ctx context.Context, log *Log, q *Query, x *Explanation) (Metrics, error) {
-	maxPairs := e.cfg.MaxPairs
+	return evaluate(ctx, log, q, x, e.cfg.MaxPairs, e.cfg.Seed, e.cfg.Parallelism, e.cfg.Shards, e.cfg.Runner)
+}
+
+// evaluate runs the core evaluation (a nil runner selects the direct
+// walk) and projects its metrics.
+func evaluate(ctx context.Context, log *Log, q *Query, x *Explanation,
+	maxPairs int, seed int64, parallelism, shards int, runner core.ShardRunner) (Metrics, error) {
 	if maxPairs == 0 {
 		maxPairs = core.DefaultConfig().MaxPairs
 	}
-	var m core.Metrics
-	var err error
-	if e.cfg.Runner != nil {
-		m, err = core.EvaluateExplanationShardedOverCtx(ctx, log.layout(), log.l, features.Level3, q.q, x.x,
-			maxPairs, e.cfg.Seed, e.cfg.Shards, e.cfg.Runner)
-	} else {
-		m, err = core.EvaluateExplanationPCtx(ctx, log.l, features.Level3, q.q, x.x,
-			maxPairs, e.cfg.Seed, e.cfg.Parallelism)
-	}
+	m, err := core.EvaluateExplanationCtx(ctx, log.l, features.Level3, q.q, x.x, maxPairs, seed, parallelism, shards, runner)
 	if err != nil {
 		return Metrics{}, err
 	}
